@@ -85,28 +85,7 @@ void ResultDoc::add_sweep(const Sweep& sweep, const Outcomes& outcomes) {
 }
 
 void ResultDoc::set_meta(const std::string& key, const std::string& value) {
-  MetaEntry e;
-  e.key = key;
-  e.str = value;
-  meta_.push_back(std::move(e));
-}
-
-void ResultDoc::set_meta(const std::string& key, double value) {
-  MetaEntry e;
-  e.key = key;
-  e.num = value;
-  e.is_num = true;
-  meta_.push_back(std::move(e));
-}
-
-void ResultDoc::add_history(PerfHistoryEntry entry) {
-  history_.push_back(std::move(entry));
-  if (history_.size() > kMaxHistory) {
-    history_.erase(history_.begin(),
-                   history_.begin() +
-                       static_cast<std::ptrdiff_t>(history_.size() -
-                                                   kMaxHistory));
-  }
+  meta_.emplace_back(key, value);
 }
 
 std::string ResultDoc::render() const {
@@ -121,27 +100,9 @@ std::string ResultDoc::render() const {
   w.key("meta");
   w.begin_object();
   bool have_rev = false;
-  for (const auto& e : meta_) have_rev = have_rev || e.key == "git_rev";
+  for (const auto& e : meta_) have_rev = have_rev || e.first == "git_rev";
   if (!have_rev) w.field("git_rev", current_git_rev());
-  for (const auto& e : meta_) {
-    if (e.is_num) {
-      w.field(e.key, e.num);
-    } else {
-      w.field(e.key, e.str);
-    }
-  }
-  if (!history_.empty()) {
-    w.key("history");
-    w.begin_array();
-    for (const auto& h : history_) {
-      w.begin_object();
-      w.field("git_rev", h.git_rev);
-      w.field("stamp", h.stamp);
-      for (const auto& [micro, ns] : h.ns_per_item) w.field(micro, ns);
-      w.end_object();
-    }
-    w.end_array();
-  }
+  for (const auto& [key, value] : meta_) w.field(key, value);
   w.end_object();
   w.key("sweeps");
   w.begin_array();
@@ -350,34 +311,6 @@ bool validate_result_json(const std::string& text, std::string* err) {
   if (!rev || !rev->is_string()) {
     return fail(err, "meta missing string 'git_rev'");
   }
-  const json::Value* history = meta->get("history");
-  if (history) {
-    if (!history->is_array()) {
-      return fail(err, "meta 'history' is not an array");
-    }
-    if (history->items.size() > ResultDoc::kMaxHistory) {
-      return fail(err, "meta 'history' exceeds " +
-                           std::to_string(ResultDoc::kMaxHistory) +
-                           " entries");
-    }
-    for (const auto& h : history->items) {
-      if (!h.is_object()) return fail(err, "history entry is not an object");
-      for (const char* key : {"git_rev", "stamp"}) {
-        const json::Value* s = h.get(key);
-        if (!s || !s->is_string()) {
-          return fail(err,
-                      std::string("history entry missing string '") + key +
-                          "'");
-        }
-      }
-      for (const auto& [k, v] : h.fields) {
-        if (k == "git_rev" || k == "stamp") continue;
-        if (!v.is_number()) {
-          return fail(err, "history field '" + k + "' is not a number");
-        }
-      }
-    }
-  }
   const json::Value* sweeps = root.get("sweeps");
   if (!sweeps || !sweeps->is_array() || sweeps->items.empty()) {
     return fail(err, "'sweeps' missing or empty");
@@ -386,32 +319,6 @@ bool validate_result_json(const std::string& text, std::string* err) {
     if (!validate_sweep(s, err)) return false;
   }
   return true;
-}
-
-std::vector<PerfHistoryEntry> parse_history(const std::string& text) {
-  std::vector<PerfHistoryEntry> out;
-  json::Value root;
-  std::string err;
-  if (!json::parse(text, &root, &err) || !root.is_object()) return out;
-  const json::Value* meta = root.get("meta");
-  if (!meta || !meta->is_object()) return out;
-  const json::Value* history = meta->get("history");
-  if (!history || !history->is_array()) return out;
-  for (const auto& h : history->items) {
-    if (!h.is_object()) continue;
-    const json::Value* rev = h.get("git_rev");
-    const json::Value* stamp = h.get("stamp");
-    if (!rev || !rev->is_string() || !stamp || !stamp->is_string()) continue;
-    PerfHistoryEntry e;
-    e.git_rev = rev->str;
-    e.stamp = stamp->str;
-    for (const auto& [k, v] : h.fields) {
-      if (k == "git_rev" || k == "stamp") continue;
-      if (v.is_number()) e.ns_per_item.emplace_back(k, v.num);
-    }
-    out.push_back(std::move(e));
-  }
-  return out;
 }
 
 std::string current_git_rev() {

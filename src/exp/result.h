@@ -3,7 +3,7 @@
 // Every bench binary can write its full result grid as a versioned JSON
 // document via `--json=<path>`. The document is deterministic: two runs with
 // the same scale and seed produce byte-identical files except for the `meta`
-// block (git revision, host info, host-timing numbers). Layout:
+// block (git revision and any other host-specific labels). Layout:
 //
 //   {
 //     "schema": "eo-bench-result",
@@ -41,6 +41,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/runner.h"
@@ -51,23 +52,8 @@ namespace eo::exp {
 inline constexpr int kResultSchemaVersion = 1;
 inline constexpr const char* kResultSchemaName = "eo-bench-result";
 
-/// One point of a bench's perf trajectory: the gated micro results of one
-/// `--gate` run, stamped with the revision and a caller-supplied timestamp.
-/// Recorded under `meta.history` (volatile like the rest of `meta`, so the
-/// determinism/golden guarantees are unaffected).
-struct PerfHistoryEntry {
-  std::string git_rev;
-  std::string stamp;  ///< caller-supplied wall-clock label, e.g. ISO date
-  /// Measured ns/item per gated micro, registration order.
-  std::vector<std::pair<std::string, double>> ns_per_item;
-};
-
 class ResultDoc {
  public:
-  /// Oldest history entries beyond this many are dropped at append time, so
-  /// the trajectory in a long-lived BENCH json stays bounded.
-  static constexpr std::size_t kMaxHistory = 50;
-
   ResultDoc(std::string bench_id, double scale, std::uint64_t seed)
       : bench_id_(std::move(bench_id)), scale_(scale), seed_(seed) {}
 
@@ -78,13 +64,6 @@ class ResultDoc {
   /// Volatile host metadata (excluded from determinism guarantees). The git
   /// revision is added automatically at render time unless already set.
   void set_meta(const std::string& key, const std::string& value);
-  void set_meta(const std::string& key, double value);
-
-  /// Appends one perf-trajectory point to `meta.history` (capped at
-  /// kMaxHistory, oldest dropped). Callers carrying a trajectory forward
-  /// append the prior file's entries first, then the fresh one.
-  void add_history(PerfHistoryEntry entry);
-  const std::vector<PerfHistoryEntry>& history() const { return history_; }
 
   /// Renders the document; output is deterministic given the same inputs.
   std::string render() const;
@@ -99,25 +78,13 @@ class ResultDoc {
     std::vector<std::pair<std::string, std::vector<std::string>>> axes;
     std::vector<CellOutcome> cells;
   };
-  struct MetaEntry {
-    std::string key;
-    std::string str;
-    double num = 0.0;
-    bool is_num = false;
-  };
 
   std::string bench_id_;
   double scale_;
   std::uint64_t seed_;
-  std::vector<MetaEntry> meta_;
-  std::vector<PerfHistoryEntry> history_;
+  std::vector<std::pair<std::string, std::string>> meta_;
   std::vector<SweepBlock> sweeps_;
 };
-
-/// Parses `meta.history` out of a previously written result document (for
-/// benches carrying a perf trajectory across runs). Returns an empty vector
-/// when the text is not a result document or has no history.
-std::vector<PerfHistoryEntry> parse_history(const std::string& text);
 
 /// Structural validation of a rendered result document.
 bool validate_result_json(const std::string& text, std::string* err);

@@ -64,75 +64,6 @@ TEST(ResultTest, RenderIsDeterministic) {
   EXPECT_EQ(demo_doc().render(), demo_doc().render());
 }
 
-TEST(ResultTest, HistoryRendersValidatesAndRoundTrips) {
-  // The perf-trajectory history (bench_perf_smoke --gate) lives in the
-  // volatile meta block: the document still validates, parse_history gets
-  // the entries back, and entries beyond the cap age out oldest-first.
-  ResultDoc doc = demo_doc();
-  exp::PerfHistoryEntry e1;
-  e1.git_rev = "aaaa0001";
-  e1.stamp = "2026-08-01T00:00:00Z";
-  e1.ns_per_item = {{"engine_schedule_fire", 60.5}, {"futex_round_trip", 330.0}};
-  exp::PerfHistoryEntry e2;
-  e2.git_rev = "aaaa0002";
-  e2.stamp = "2026-08-02T00:00:00Z";
-  e2.ns_per_item = {{"engine_schedule_fire", 58.25}};
-  doc.add_history(e1);
-  doc.add_history(e2);
-  const std::string text = doc.render();
-  std::string err;
-  ASSERT_TRUE(validate_result_json(text, &err)) << err;
-  const auto back = exp::parse_history(text);
-  ASSERT_EQ(back.size(), 2u);
-  EXPECT_EQ(back[0].git_rev, "aaaa0001");
-  EXPECT_EQ(back[1].stamp, "2026-08-02T00:00:00Z");
-  ASSERT_EQ(back[0].ns_per_item.size(), 2u);
-  EXPECT_EQ(back[0].ns_per_item[0].first, "engine_schedule_fire");
-  EXPECT_DOUBLE_EQ(back[0].ns_per_item[0].second, 60.5);
-  // Cap: appending far past kMaxHistory keeps only the newest entries.
-  ResultDoc capped = demo_doc();
-  for (std::size_t i = 0; i < ResultDoc::kMaxHistory + 10; ++i) {
-    exp::PerfHistoryEntry e;
-    e.git_rev = "rev" + std::to_string(i);
-    e.stamp = "s";
-    capped.add_history(e);
-  }
-  const auto kept = exp::parse_history(capped.render());
-  ASSERT_EQ(kept.size(), ResultDoc::kMaxHistory);
-  EXPECT_EQ(kept.front().git_rev, "rev10");
-  EXPECT_EQ(kept.back().git_rev,
-            "rev" + std::to_string(ResultDoc::kMaxHistory + 9));
-  std::string err2;
-  EXPECT_TRUE(validate_result_json(capped.render(), &err2)) << err2;
-}
-
-TEST(ResultValidatorTest, RejectsMalformedHistory) {
-  ResultDoc doc = demo_doc();
-  exp::PerfHistoryEntry e;
-  e.git_rev = "aaaa0001";
-  e.stamp = "2026-08-01T00:00:00Z";
-  e.ns_per_item = {{"engine_schedule_fire", 60.5}};
-  doc.add_history(e);
-  const std::string good = doc.render();
-  auto corrupt = [&](const std::string& from, const std::string& to) {
-    const std::size_t pos = good.find(from);
-    EXPECT_NE(pos, std::string::npos) << from;
-    std::string out = good;
-    out.replace(pos, from.size(), to);
-    return out;
-  };
-  std::string err;
-  EXPECT_FALSE(validate_result_json(
-      corrupt("\"history\":[", "\"history\":0,\"x\":["), &err));
-  EXPECT_FALSE(validate_result_json(
-      corrupt("\"stamp\":\"2026-08-01T00:00:00Z\"", "\"stamp\":5"), &err));
-  EXPECT_FALSE(validate_result_json(
-      corrupt("\"engine_schedule_fire\":60.5",
-              "\"engine_schedule_fire\":\"fast\""),
-      &err));
-  EXPECT_NE(err.find("history"), std::string::npos) << err;
-}
-
 TEST(ResultTest, SkippedAndNaCellsValidate) {
   const Sweep s = demo_sweep();
   RunnerOptions o = quiet();
@@ -162,7 +93,7 @@ TEST(ResultTest, MultiSweepDocumentValidates) {
                              });
   ResultDoc doc("demo_bench", 0.5, 3);
   doc.set_meta("git_rev", "0123abcd");
-  doc.set_meta("host_note", 1.5);
+  doc.set_meta("host_note", "shared VM");
   doc.add_sweep(a, run_demo(a));
   doc.add_sweep(b, out_b);
   std::string err;

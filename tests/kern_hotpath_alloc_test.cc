@@ -1,9 +1,10 @@
-// Allocation contract for the kernel's two hottest paths: once a kernel is
-// warm (engine slab, wake-chain pool, runqueue storage at steady-state
-// footprint), a context switch and a futex wait/wake round trip must not
-// touch the heap. Futex waiters ride intrusive WaiterLinks embedded in
-// Task, wake chains are pooled and spliced, and engine callbacks are inline
-// EventFns — so the steady state is pointer work only. Same global-new
+// Allocation contract for the kernel's hottest paths: once a kernel is warm
+// (engine slab, wake-chain pool, runqueue storage at steady-state
+// footprint), a context switch, a futex wait/wake round trip and an obs
+// sampler tick must not touch the heap. Futex waiters ride intrusive
+// WaiterLinks embedded in Task, wake chains are pooled and spliced, engine
+// callbacks are inline EventFns, and sampler frames go into preallocated
+// ring storage — so the steady state is pointer work only. Same global-new
 // harness as sim_event_fn_test.cc / traffic_fleet_test.cc.
 #include <gtest/gtest.h>
 
@@ -93,6 +94,35 @@ TEST(KernHotPath, FutexRoundTripAllocationFreeWhenWarm) {
   EXPECT_EQ(n, 0u);
   EXPECT_TRUE(k.run_to_exit(k.now() + 10_s));
   EXPECT_GT(k.stats().futex_wakes, 1000u);
+}
+
+TEST(KernHotPath, SamplerTickAllocationFreeWhenWarm) {
+  KernelConfig c;
+  c.topo = hw::Topology::make_cores(4, 1);
+  c.metrics.enabled = true;
+  c.metrics.interval = 10_us;
+  Kernel k(c);
+  // Eight compute+yield threads on four cores keep every core's sampled
+  // state changing, so each tick collects, pushes a frame and re-checks the
+  // changed cores through the watchdog.
+  for (int i = 0; i < 8; ++i) {
+    runtime::spawn(k, "t", [](runtime::Env env) -> runtime::SimThread {
+      for (int r = 0; r < 4000; ++r) {
+        co_await env.compute(20_us);
+        co_await env.yield();
+      }
+      co_return;
+    });
+  }
+  k.run_until(5_ms);  // warm: ring storage, scratch frames, engine heap
+  const std::uint64_t ticks_before = k.sampler().ticks();
+  const std::uint64_t n = allocs_during([&] { k.run_until(60_ms); });
+  EXPECT_EQ(n, 0u);
+  EXPECT_GT(k.sampler().ticks() - ticks_before, 5000u);
+  // The window is longer than the default ring, so the overwrite-oldest
+  // path ran inside it too.
+  EXPECT_GT(k.sampler().series().dropped(), 0u);
+  EXPECT_TRUE(k.run_to_exit(k.now() + 10_s));
 }
 
 }  // namespace
