@@ -78,32 +78,55 @@ double Rng::exponential(double mean) {
 
 std::uint64_t Rng::poisson(double mean) {
   if (mean <= 0.0) return 0;
-  if (mean < 32.0) {
-    // Knuth inversion.
-    const double limit = std::exp(-mean);
-    double prod = next_double();
-    std::uint64_t n = 0;
-    while (prod > limit) {
-      prod *= next_double();
-      ++n;
-    }
-    return n;
-  }
-  // Normal approximation with continuity correction; adequate for the large
-  // counter means used by the PMC models (thousands per interval).
-  const double v = normal(mean, std::sqrt(mean));
-  return v <= 0.0 ? 0 : static_cast<std::uint64_t>(v + 0.5);
+  if (mean < 32.0) return knuth_poisson(mean);
+  const double u1 = next_double();
+  const double u2 = next_double();
+  return normal_count(mean, u1, u2);
+}
+
+bool Rng::poisson_positive(double mean) {
+  if (mean <= 0.0) return false;
+  if (mean < 32.0) return knuth_poisson(mean) != 0;
+  const double u1 = next_double();
+  const double u2 = next_double();
+  // u1 > 2^-20 bounds the Box-Muller radius sqrt(-2 ln u1) below 5.27, so
+  // the deviate is at least mean - 5.27 sqrt(mean) >= 2.2 for every
+  // mean >= 32 and the rounded count is at least 2.
+  if (u1 > 0x1.0p-20) return true;
+  return normal_count(mean, u1, u2) != 0;
 }
 
 double Rng::normal(double mean, double stddev) {
   // Box-Muller; draws two uniforms per deviate (no caching keeps splits
   // simple and deterministic).
-  double u1 = next_double();
-  if (u1 <= 0.0) u1 = 0x1.0p-53;
+  const double u1 = next_double();
   const double u2 = next_double();
+  return box_muller(mean, stddev, u1, u2);
+}
+
+std::uint64_t Rng::knuth_poisson(double mean) {
+  const double limit = std::exp(-mean);
+  double prod = next_double();
+  std::uint64_t n = 0;
+  while (prod > limit) {
+    prod *= next_double();
+    ++n;
+  }
+  return n;
+}
+
+double Rng::box_muller(double mean, double stddev, double u1, double u2) {
+  if (u1 <= 0.0) u1 = 0x1.0p-53;  // guard against log(0)
   const double r = std::sqrt(-2.0 * std::log(u1));
   const double theta = 2.0 * 3.14159265358979323846 * u2;
   return mean + stddev * r * std::cos(theta);
+}
+
+std::uint64_t Rng::normal_count(double mean, double u1, double u2) {
+  // Normal approximation with continuity correction; adequate for the large
+  // counter means used by the PMC models (thousands per interval).
+  const double v = box_muller(mean, std::sqrt(mean), u1, u2);
+  return v <= 0.0 ? 0 : static_cast<std::uint64_t>(v + 0.5);
 }
 
 bool Rng::chance(double p) {

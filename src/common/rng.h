@@ -40,6 +40,13 @@ class Rng {
   /// means; both paths are deterministic.
   std::uint64_t poisson(double mean);
 
+  /// Returns `poisson(mean) != 0`, consuming exactly the draws `poisson(mean)`
+  /// would, so the stream after it is the same. Below a mean of 32 it runs
+  /// the same inversion loop (the count decides how many draws it takes);
+  /// from 32 up it skips the normal approximation's log/sqrt/cos whenever
+  /// the first uniform alone proves the count is at least 2.
+  bool poisson_positive(double mean);
+
   /// Standard normal deviate (Box-Muller, deterministic).
   double normal(double mean = 0.0, double stddev = 1.0);
 
@@ -51,6 +58,13 @@ class Rng {
   Rng split();
 
  private:
+  /// Knuth inversion for 0 < mean < 32.
+  std::uint64_t knuth_poisson(double mean);
+  /// Box-Muller deviate from the two uniforms `normal` draws, in order.
+  static double box_muller(double mean, double stddev, double u1, double u2);
+  /// The normal approximation's count for mean >= 32, from its two uniforms.
+  static std::uint64_t normal_count(double mean, double u1, double u2);
+
   std::uint64_t s_[4];
 };
 

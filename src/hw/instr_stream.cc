@@ -21,10 +21,10 @@ PmcSample InstrStreamModel::sample(SegmentKind kind, SimDuration dur,
   const double us = to_us(dur);
   switch (kind) {
     case SegmentKind::kRegular: {
-      const double instr = p_.instr_per_us * us;
-      s.instructions = static_cast<std::uint64_t>(instr);
-      s.l1d_misses = rng.poisson(instr * p_.l1_miss_per_instr);
-      s.tlb_misses = rng.poisson(instr * p_.tlb_miss_per_instr);
+      const RegularMeans m = regular_means(dur);
+      s.instructions = static_cast<std::uint64_t>(m.instructions);
+      s.l1d_misses = rng.poisson_positive(m.l1d_misses) ? 1 : 0;
+      s.tlb_misses = rng.poisson_positive(m.tlb_misses) ? 1 : 0;
       break;
     }
     case SegmentKind::kTightLoop: {
@@ -44,6 +44,11 @@ PmcSample InstrStreamModel::sample(SegmentKind kind, SimDuration dur,
     }
   }
   return s;
+}
+
+RegularMeans InstrStreamModel::regular_means(SimDuration dur) const {
+  const double instr = p_.instr_per_us * to_us(dur);
+  return {instr, instr * p_.l1_miss_per_instr, instr * p_.tlb_miss_per_instr};
 }
 
 std::uint64_t InstrStreamModel::spin_iterations(SimDuration dur) const {

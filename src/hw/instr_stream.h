@@ -7,7 +7,9 @@
 // across PARSEC/SPLASH-2/NPB: 3000 instructions retired per microsecond,
 // one L1D miss per 45 instructions, one TLB miss per 890 instructions
 // (≈6667 L1 and ≈337 TLB misses per 100 µs window). Detection then *follows*
-// from the model, so sensitivity/specificity are genuine measurements.
+// from the model, so sensitivity/specificity are genuine measurements. The
+// model reports whether each segment missed, not how often: that is all
+// BWD's "no misses in the window" heuristics read.
 #pragma once
 
 #include <cstdint>
@@ -43,11 +45,20 @@ struct InstrProfile {
   double spin_stray_miss_prob = 0.000015;
 };
 
-/// Sampled PMC deltas for a stretch of execution.
+/// Sampled PMC deltas for a stretch of execution. BWD only asks whether a
+/// window saw any miss, so the miss fields report presence: 1 when the
+/// segment missed at least once, else 0. `instructions` is a count.
 struct PmcSample {
   std::uint64_t instructions = 0;
   std::uint64_t l1d_misses = 0;
   std::uint64_t tlb_misses = 0;
+};
+
+/// Expected PMC counts of a regular-code segment.
+struct RegularMeans {
+  double instructions = 0.0;
+  double l1d_misses = 0.0;
+  double tlb_misses = 0.0;
 };
 
 /// Generates PMC deltas for a segment execution of a given duration.
@@ -57,7 +68,14 @@ class InstrStreamModel {
 
   const InstrProfile& profile() const { return p_; }
 
+  /// A regular segment's miss presence is `Rng::poisson_positive` at
+  /// `regular_means(dur)`: the draws a full Poisson count would take, but
+  /// without the normal approximation's libm calls on nearly every segment.
   PmcSample sample(SegmentKind kind, SimDuration dur, Rng& rng) const;
+
+  /// The profiled rates of a regular segment of `dur`, which `sample` draws
+  /// its miss presence from.
+  RegularMeans regular_means(SimDuration dur) const;
 
   /// Number of spin-loop iterations (== backward branches) executed in `dur`.
   std::uint64_t spin_iterations(SimDuration dur) const;

@@ -3,7 +3,9 @@
 // BWD configures two PMCs per core — L1D misses and dTLB misses — and reads
 // and clears them every monitoring interval. This class is that pair of
 // counters plus the retired-instruction count used by tests and the timer
-// overhead accounting.
+// overhead accounting. The instruction stream model reports miss presence
+// per segment, so the miss totals count the window's segments that missed;
+// BWD reads them only as zero or nonzero.
 #pragma once
 
 #include <cstdint>
@@ -23,9 +25,6 @@ class Pmc {
   std::uint64_t instructions() const { return instructions_; }
   std::uint64_t l1d_misses() const { return l1d_misses_; }
   std::uint64_t tlb_misses() const { return tlb_misses_; }
-
-  /// BWD heuristics #2 and #3: no misses of either kind in the window.
-  bool window_miss_free() const { return l1d_misses_ == 0 && tlb_misses_ == 0; }
 
   void clear() {
     instructions_ = 0;

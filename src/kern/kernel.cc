@@ -44,6 +44,19 @@ Kernel::Kernel(KernelConfig cfg)
       watchdog_(&metric_registry_),
       sampler_(&engine_, cfg_.topo.n_cores()),
       rng_(cfg_.seed) {
+  // The PMC model turns these rates into integer counts on every segment; a
+  // NaN, infinite or negative rate, or a spin iteration time that is not
+  // positive, would make that conversion undefined.
+  const hw::InstrProfile& ip = cfg_.instr;
+  for (const double rate :
+       {ip.instr_per_us, ip.l1_miss_per_instr, ip.tlb_miss_per_instr}) {
+    EO_CHECK(std::isfinite(rate) && rate >= 0.0)
+        << "instruction-stream rates must be finite and non-negative, got "
+        << rate;
+  }
+  EO_CHECK(std::isfinite(ip.spin_iteration_ns) && ip.spin_iteration_ns > 0.0)
+      << "spin_iteration_ns must be finite and positive, got "
+      << ip.spin_iteration_ns;
   const int n = cfg_.topo.n_cores();
   policy_ =
       sched::make_policy(cfg_.policy, &cfg_.topo, &cfg_.cfs,
@@ -457,9 +470,10 @@ void Kernel::account_segment(Core& c) {
   c.seg_start = t;
   if (dur <= 0) return;
   // LBR/PMC/window state feeds only bwd_timer_fire, whose timer runs only
-  // when features.bwd is on; with BWD off the synthetic PMC sampling (two
-  // Poisson draws per segment from c.rng, which has no other consumer) is
-  // pure cost, so the whole block is skipped. BWD-on runs are unchanged.
+  // when features.bwd is on; with BWD off the synthetic PMC sampling (a
+  // miss-presence draw per counter per regular segment, or a stray-miss
+  // draw per spin segment, from c.rng, which has no other consumer) is pure
+  // cost, so the whole block is skipped. BWD-on runs are unchanged.
   if (cfg_.features.bwd) {
     const auto sample = instr_.sample(c.seg_kind, dur, c.rng);
     c.pmc.accumulate(sample);

@@ -95,6 +95,34 @@ TEST(Rng, PoissonZeroMean) {
   EXPECT_EQ(r.poisson(-1.0), 0u);
 }
 
+TEST(Rng, PoissonPositiveLockstepWithPoisson) {
+  // poisson_positive must answer poisson(m) != 0 and leave the stream where
+  // poisson(m) would, on both sides of the inversion/normal cutover at 32.
+  const double means[] = {-1.0,   0.0,    1e-9,  0.5,   3.37,  31.999,
+                          32.0,   32.001, 66.7,  337.0, 6667.0, 1e6};
+  for (std::uint64_t seed = 0; seed < 256; ++seed) {
+    Rng a(seed), b(seed);
+    for (int rep = 0; rep < 16; ++rep) {
+      for (const double m : means) {
+        ASSERT_EQ(a.poisson_positive(m), b.poisson(m) != 0)
+            << "seed " << seed << " mean " << m;
+        ASSERT_EQ(a.next_u64(), b.next_u64())
+            << "seed " << seed << " mean " << m;
+      }
+    }
+  }
+}
+
+TEST(Rng, PoissonPositiveExactBranchMatchesPoisson) {
+  // This seed's first uniform is 9.5e-7 <= 2^-20, too small to bound the
+  // Box-Muller radius, so poisson_positive(32) must evaluate the normal
+  // approximation itself.
+  ASSERT_LE(Rng(1445042).next_double(), 0x1.0p-20);
+  Rng a(1445042), b(1445042);
+  EXPECT_EQ(a.poisson_positive(32.0), b.poisson(32.0) != 0);
+  EXPECT_EQ(a.next_u64(), b.next_u64());
+}
+
 TEST(Rng, NormalMoments) {
   Rng r(29);
   double sum = 0, sq = 0;

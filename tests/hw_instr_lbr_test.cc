@@ -15,18 +15,36 @@ TEST(InstrStream, RegularCodeMatchesProfiledRates) {
   InstrStreamModel m;
   Rng rng(1);
   // The paper's profile: per 100us, ~300000 instructions, ~6667 L1 misses,
-  // ~337 TLB misses.
+  // ~337 TLB misses. sample() reports only miss presence, so draw the counts
+  // at the means it draws that presence from.
+  const RegularMeans mean = m.regular_means(100_us);
   std::uint64_t instr = 0, l1 = 0, tlb = 0;
   const int n = 2000;
   for (int i = 0; i < n; ++i) {
-    const auto s = m.sample(SegmentKind::kRegular, 100_us, rng);
-    instr += s.instructions;
-    l1 += s.l1d_misses;
-    tlb += s.tlb_misses;
+    instr += static_cast<std::uint64_t>(mean.instructions);
+    l1 += rng.poisson(mean.l1d_misses);
+    tlb += rng.poisson(mean.tlb_misses);
   }
   EXPECT_NEAR(static_cast<double>(instr) / n, 300000.0, 3000.0);
   EXPECT_NEAR(static_cast<double>(l1) / n, 6667.0, 100.0);
   EXPECT_NEAR(static_cast<double>(tlb) / n, 337.0, 10.0);
+}
+
+TEST(InstrStream, RegularSampleReportsMissPresence) {
+  InstrStreamModel m;
+  // 3 ns and 300 ns sit below the inversion/normal cutover at a mean of 32
+  // for both counters, 2 us only for TLB misses, and 100 us for neither.
+  for (const SimDuration dur : {SimDuration{3}, SimDuration{300}, 2_us,
+                                100_us}) {
+    Rng a(5), b(5);
+    const RegularMeans mean = m.regular_means(dur);
+    for (int i = 0; i < 2000; ++i) {
+      const auto s = m.sample(SegmentKind::kRegular, dur, a);
+      ASSERT_EQ(s.l1d_misses, b.poisson(mean.l1d_misses) != 0 ? 1u : 0u);
+      ASSERT_EQ(s.tlb_misses, b.poisson(mean.tlb_misses) != 0 ? 1u : 0u);
+    }
+    EXPECT_EQ(a.next_u64(), b.next_u64()) << dur << "ns";
+  }
 }
 
 TEST(InstrStream, RegularWindowAlmostNeverMissFree) {
@@ -116,15 +134,15 @@ TEST(Lbr, ClearResets) {
 
 TEST(Pmc, AccumulateAndClear) {
   Pmc pmc;
-  EXPECT_TRUE(pmc.window_miss_free());
-  pmc.accumulate(PmcSample{100, 2, 1});
-  EXPECT_EQ(pmc.instructions(), 100u);
+  pmc.accumulate(PmcSample{100, 1, 0});
+  pmc.accumulate(PmcSample{50, 1, 1});
+  EXPECT_EQ(pmc.instructions(), 150u);
   EXPECT_EQ(pmc.l1d_misses(), 2u);
   EXPECT_EQ(pmc.tlb_misses(), 1u);
-  EXPECT_FALSE(pmc.window_miss_free());
   pmc.clear();
-  EXPECT_TRUE(pmc.window_miss_free());
   EXPECT_EQ(pmc.instructions(), 0u);
+  EXPECT_EQ(pmc.l1d_misses(), 0u);
+  EXPECT_EQ(pmc.tlb_misses(), 0u);
 }
 
 TEST(Ple, DisabledByDefault) {

@@ -2,6 +2,8 @@
 // corner cases, futex wake counts, and VB interaction with wakeup ordering.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "kern/kernel.h"
 #include "runtime/sim_thread.h"
 
@@ -210,6 +212,25 @@ TEST(KernelEdge, TaskStatsAccumulate) {
   const auto& a = *k.tasks()[0];
   EXPECT_NEAR(static_cast<double>(a.stats.cpu_time), 5e6, 5e5);
   EXPECT_GE(a.stats.voluntary_switches, 10u);
+}
+
+TEST(KernelDeathTest, RejectsHostileInstrProfile) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf, -1.0}) {
+    for (double hw::InstrProfile::*rate :
+         {&hw::InstrProfile::instr_per_us, &hw::InstrProfile::l1_miss_per_instr,
+          &hw::InstrProfile::tlb_miss_per_instr}) {
+      KernelConfig c;
+      c.instr.*rate = bad;
+      EXPECT_DEATH(Kernel k(c), "rates must be finite and non-negative");
+    }
+  }
+  for (const double bad : {0.0, -4.0, nan, inf}) {
+    KernelConfig c;
+    c.instr.spin_iteration_ns = bad;
+    EXPECT_DEATH(Kernel k(c), "spin_iteration_ns must be finite and positive");
+  }
 }
 
 }  // namespace
