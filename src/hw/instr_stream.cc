@@ -1,5 +1,7 @@
 #include "hw/instr_stream.h"
 
+#include <algorithm>
+
 namespace eo::hw {
 
 const char* to_string(SegmentKind k) {
@@ -14,36 +16,39 @@ const char* to_string(SegmentKind k) {
   return "?";
 }
 
-PmcSample InstrStreamModel::sample(SegmentKind kind, SimDuration dur,
-                                   Rng& rng) const {
-  PmcSample s;
-  if (dur <= 0) return s;
-  const double us = to_us(dur);
+void InstrStreamModel::accumulate(SegmentKind kind, SimDuration dur,
+                                  Pmc* pmc) const {
+  if (dur <= 0) return;
   switch (kind) {
     case SegmentKind::kRegular: {
       const RegularMeans m = regular_means(dur);
-      s.instructions = static_cast<std::uint64_t>(m.instructions);
-      s.l1d_misses = rng.poisson_positive(m.l1d_misses) ? 1 : 0;
-      s.tlb_misses = rng.poisson_positive(m.tlb_misses) ? 1 : 0;
+      pmc->add_segment(static_cast<std::uint64_t>(m.instructions),
+                       m.l1d_misses, m.tlb_misses);
       break;
     }
-    case SegmentKind::kTightLoop: {
+    case SegmentKind::kTightLoop:
       // Register-resident loop: full issue rate, essentially no data traffic.
-      s.instructions = static_cast<std::uint64_t>(p_.instr_per_us * us);
-      s.l1d_misses = 0;
-      s.tlb_misses = 0;
+      pmc->add_segment(
+          static_cast<std::uint64_t>(p_.instr_per_us * to_us(dur)), 0.0, 0.0);
       break;
-    }
     case SegmentKind::kSpin: {
-      s.instructions = spin_iterations(dur) * 3;  // test, compare, branch
       // Occasionally the spun-on line is invalidated by another core and the
       // re-read counts as a miss; this is the only source of BWD false
       // negatives.
-      if (rng.chance(p_.spin_stray_miss_prob * us)) s.l1d_misses = 1;
+      const double stray = p_.spin_stray_miss_prob * to_us(dur);
+      pmc->add_segment(spin_iterations(dur) * 3,  // test, compare, branch
+                       0.0, 0.0, 1.0 - std::min(1.0, stray));
       break;
     }
   }
-  return s;
+}
+
+PmcSample InstrStreamModel::sample(SegmentKind kind, SimDuration dur,
+                                   Rng& rng) const {
+  Pmc pmc;
+  accumulate(kind, dur, &pmc);
+  pmc.close_window(rng);
+  return {pmc.instructions(), pmc.l1d_misses(), pmc.tlb_misses()};
 }
 
 RegularMeans InstrStreamModel::regular_means(SimDuration dur) const {

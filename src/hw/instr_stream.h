@@ -7,15 +7,17 @@
 // across PARSEC/SPLASH-2/NPB: 3000 instructions retired per microsecond,
 // one L1D miss per 45 instructions, one TLB miss per 890 instructions
 // (≈6667 L1 and ≈337 TLB misses per 100 µs window). Detection then *follows*
-// from the model, so sensitivity/specificity are genuine measurements. The
-// model reports whether each segment missed, not how often: that is all
-// BWD's "no misses in the window" heuristics read.
+// from the model, so sensitivity/specificity are genuine measurements. Each
+// segment adds its expected miss counts to the core's `Pmc` window, and the
+// window draws once whether it missed, not how often: that is all BWD's
+// "no misses in the window" heuristics read.
 #pragma once
 
 #include <cstdint>
 
 #include "common/rng.h"
 #include "common/units.h"
+#include "hw/pmc.h"
 
 namespace eo::hw {
 
@@ -45,7 +47,7 @@ struct InstrProfile {
   double spin_stray_miss_prob = 0.000015;
 };
 
-/// Sampled PMC deltas for a stretch of execution. BWD only asks whether a
+/// Sampled PMC deltas of a one-segment window. BWD only asks whether a
 /// window saw any miss, so the miss fields report presence: 1 when the
 /// segment missed at least once, else 0. `instructions` is a count.
 struct PmcSample {
@@ -68,13 +70,16 @@ class InstrStreamModel {
 
   const InstrProfile& profile() const { return p_; }
 
-  /// A regular segment's miss presence is `Rng::poisson_positive` at
-  /// `regular_means(dur)`: the draws a full Poisson count would take, but
-  /// without the normal approximation's libm calls on nearly every segment.
+  /// Adds a segment of `dur` to the open window `pmc` without drawing: its
+  /// exact instruction count, `regular_means(dur)` for regular code, and for
+  /// spin code the chance 1 − min(1, spin_stray_miss_prob·µs) that the
+  /// spun-on line stayed cached. `Pmc::close_window` draws the presence.
+  void accumulate(SegmentKind kind, SimDuration dur, Pmc* pmc) const;
+
+  /// A one-segment window: `accumulate` into a fresh `Pmc`, then close it.
   PmcSample sample(SegmentKind kind, SimDuration dur, Rng& rng) const;
 
-  /// The profiled rates of a regular segment of `dur`, which `sample` draws
-  /// its miss presence from.
+  /// The profiled rates of a regular segment of `dur`.
   RegularMeans regular_means(SimDuration dur) const;
 
   /// Number of spin-loop iterations (== backward branches) executed in `dur`.

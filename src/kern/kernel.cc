@@ -44,12 +44,13 @@ Kernel::Kernel(KernelConfig cfg)
       watchdog_(&metric_registry_),
       sampler_(&engine_, cfg_.topo.n_cores()),
       rng_(cfg_.seed) {
-  // The PMC model turns these rates into integer counts on every segment; a
-  // NaN, infinite or negative rate, or a spin iteration time that is not
-  // positive, would make that conversion undefined.
+  // The PMC model turns these rates into integer counts and window miss
+  // sums on every segment; a NaN, infinite or negative rate, or a spin
+  // iteration time that is not positive, would make that conversion
+  // undefined or the window's miss chance meaningless.
   const hw::InstrProfile& ip = cfg_.instr;
-  for (const double rate :
-       {ip.instr_per_us, ip.l1_miss_per_instr, ip.tlb_miss_per_instr}) {
+  for (const double rate : {ip.instr_per_us, ip.l1_miss_per_instr,
+                            ip.tlb_miss_per_instr, ip.spin_stray_miss_prob}) {
     EO_CHECK(std::isfinite(rate) && rate >= 0.0)
         << "instruction-stream rates must be finite and non-negative, got "
         << rate;
@@ -470,13 +471,12 @@ void Kernel::account_segment(Core& c) {
   c.seg_start = t;
   if (dur <= 0) return;
   // LBR/PMC/window state feeds only bwd_timer_fire, whose timer runs only
-  // when features.bwd is on; with BWD off the synthetic PMC sampling (a
-  // miss-presence draw per counter per regular segment, or a stray-miss
-  // draw per spin segment, from c.rng, which has no other consumer) is pure
-  // cost, so the whole block is skipped. BWD-on runs are unchanged.
+  // when features.bwd is on, so with BWD off the whole block is skipped.
+  // The segment adds its instructions and expected misses to the window
+  // without drawing; bwd_timer_fire draws the window's miss presence once,
+  // from c.rng, which has no other consumer.
   if (cfg_.features.bwd) {
-    const auto sample = instr_.sample(c.seg_kind, dur, c.rng);
-    c.pmc.accumulate(sample);
+    instr_.accumulate(c.seg_kind, dur, &c.pmc);
     c.lbr.on_execute(c.seg_kind, c.seg_site, dur, instr_);
     c.window.busy += dur;
     if (c.seg_kind == hw::SegmentKind::kSpin) {
@@ -1357,7 +1357,7 @@ bool Kernel::handle_epoll_wait(Core& c, Task* t, const EpollWaitAction& a) {
     policy_->vb_park(c.id, &t->se);
     t->delay.transition(now(), obs::TaskDelayState::kVbParked);
   } else {
-    ++stats_.futex_sleeps;
+    ++stats_.epoll_sleeps;
     t->overhead += cost + cfg_.costs.futex_wait_setup;
     deschedule_current(c, /*requeue=*/false, /*voluntary=*/true);
     t->state = TaskState::kSleeping;
@@ -1459,6 +1459,7 @@ void Kernel::bwd_timer_fire(Core& c) {
   if (!c.online) return;
   ++stats_.bwd_timer_fires;
   account_segment(c);
+  c.pmc.close_window(c.rng);
   const auto verdict =
       bwd_.evaluate(c.lbr, c.pmc, c.window, c.id,
                     c.current != nullptr ? c.current->tid : 0);

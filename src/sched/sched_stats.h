@@ -41,6 +41,7 @@ namespace eo::sched {
   X(vb_fallback_vanilla)         \
   /* Vanilla sleep/wakeup. */    \
   X(futex_sleeps)                \
+  X(epoll_sleeps)                \
   X(futex_wakes)                 \
   /* Busy-waiting detection. */  \
   X(bwd_timer_fires)             \

@@ -20,7 +20,7 @@ class BwdTest : public ::testing::Test {
 
   void exec(hw::SegmentKind kind, hw::BranchSite site, SimDuration dur) {
     lbr_.on_execute(kind, site, dur, instr_);
-    pmc_.accumulate(instr_.sample(kind, dur, rng_));
+    instr_.accumulate(kind, dur, &pmc_);
     truth_.busy += dur;
     if (kind == hw::SegmentKind::kSpin) {
       truth_.spin += dur;
@@ -32,12 +32,18 @@ class BwdTest : public ::testing::Test {
     }
   }
 
+  /// Closes the PMC window and evaluates it, as the BWD timer does.
+  BwdVerdict evaluate() {
+    pmc_.close_window(rng_);
+    return det_.evaluate(lbr_, pmc_, truth_);
+  }
+
   BwdWindowTruth truth_;
 };
 
 TEST_F(BwdTest, PureSpinWindowDetected) {
   exec(hw::SegmentKind::kSpin, 5, 100_us);
-  const auto v = det_.evaluate(lbr_, pmc_, truth_);
+  const auto v = evaluate();
   EXPECT_TRUE(v.ground_truth_spin);
   // Detection is near-certain (stray misses are ~1e-3 per window).
   EXPECT_TRUE(v.detected || pmc_.l1d_misses() > 0);
@@ -45,7 +51,7 @@ TEST_F(BwdTest, PureSpinWindowDetected) {
 
 TEST_F(BwdTest, RegularWindowNotDetected) {
   exec(hw::SegmentKind::kRegular, hw::kVariedSites, 100_us);
-  const auto v = det_.evaluate(lbr_, pmc_, truth_);
+  const auto v = evaluate();
   EXPECT_FALSE(v.ground_truth_spin);
   EXPECT_FALSE(v.detected);
 }
@@ -55,20 +61,20 @@ TEST_F(BwdTest, MixedWindowNotDetected) {
   // though the LBR tail is uniform.
   exec(hw::SegmentKind::kRegular, hw::kVariedSites, 50_us);
   exec(hw::SegmentKind::kSpin, 5, 50_us);
-  const auto v = det_.evaluate(lbr_, pmc_, truth_);
+  const auto v = evaluate();
   EXPECT_FALSE(v.ground_truth_spin);
   EXPECT_FALSE(v.detected);
 }
 
 TEST_F(BwdTest, TightLoopIsFalsePositive) {
   exec(hw::SegmentKind::kTightLoop, 9, 100_us);
-  const auto v = det_.evaluate(lbr_, pmc_, truth_);
+  const auto v = evaluate();
   EXPECT_FALSE(v.ground_truth_spin) << "a tight compute loop is not spinning";
   EXPECT_TRUE(v.detected) << "...but it defeats all three heuristics";
 }
 
 TEST_F(BwdTest, IdleWindowNeverFires) {
-  const auto v = det_.evaluate(lbr_, pmc_, truth_);
+  const auto v = evaluate();
   EXPECT_FALSE(v.detected);
   EXPECT_FALSE(v.ground_truth_spin);
 }
@@ -80,7 +86,7 @@ TEST_F(BwdTest, HeuristicAblationLbrOnly) {
   // is detected even though it had regular execution (and misses) earlier.
   exec(hw::SegmentKind::kRegular, hw::kVariedSites, 50_us);
   exec(hw::SegmentKind::kSpin, 5, 50_us);
-  const auto v = det_.evaluate(lbr_, pmc_, truth_);
+  const auto v = evaluate();
   EXPECT_TRUE(v.detected);
   EXPECT_FALSE(v.ground_truth_spin);
 }
@@ -104,7 +110,7 @@ TEST_F(BwdTest, AccuracyAccumulator) {
 TEST_F(BwdTest, MultipleSpinSitesNotGroundTruth) {
   exec(hw::SegmentKind::kSpin, 5, 50_us);
   exec(hw::SegmentKind::kSpin, 6, 50_us);
-  const auto v = det_.evaluate(lbr_, pmc_, truth_);
+  const auto v = evaluate();
   EXPECT_FALSE(v.ground_truth_spin);
 }
 

@@ -134,13 +134,20 @@ TEST(Lbr, ClearResets) {
 
 TEST(Pmc, AccumulateAndClear) {
   Pmc pmc;
-  pmc.accumulate(PmcSample{100, 1, 0});
-  pmc.accumulate(PmcSample{50, 1, 1});
+  pmc.add_segment(100, 40.0, 0.0);
+  pmc.add_segment(50, 0.0, 40.0);
+  Rng rng(1);
+  pmc.close_window(rng);
+  // At a mean of 40 a miss-free counter has probability e^-40.
   EXPECT_EQ(pmc.instructions(), 150u);
-  EXPECT_EQ(pmc.l1d_misses(), 2u);
+  EXPECT_EQ(pmc.l1d_misses(), 1u);
   EXPECT_EQ(pmc.tlb_misses(), 1u);
   pmc.clear();
   EXPECT_EQ(pmc.instructions(), 0u);
+  EXPECT_EQ(pmc.l1d_misses(), 0u);
+  EXPECT_EQ(pmc.tlb_misses(), 0u);
+  // clear() also drops the window's miss sums: closing it again draws none.
+  pmc.close_window(rng);
   EXPECT_EQ(pmc.l1d_misses(), 0u);
   EXPECT_EQ(pmc.tlb_misses(), 0u);
 }

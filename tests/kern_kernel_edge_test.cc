@@ -126,6 +126,25 @@ TEST(KernelEdge, EpollTaskToTaskPost) {
   EXPECT_EQ(got, 77u);
 }
 
+TEST(KernelEdge, BlockingEpollWaitCountsAsEpollSleep) {
+  KernelConfig c;
+  c.topo = hw::Topology::make_cores(1, 1);
+  c.features = core::Features::vanilla();
+  Kernel k(c);
+  const int ep = k.epoll_create();
+  k.epoll_post_external(ep, 1);  // the first wait finds it and never sleeps
+  std::vector<std::uint64_t> got;
+  runtime::spawn(k, "w", [&, ep](Env env) -> SimThread {
+    for (int i = 0; i < 2; ++i) got.push_back(co_await env.epoll_wait(ep));
+    co_return;
+  });
+  k.engine().schedule_at(2_ms, [&k, ep] { k.epoll_post_external(ep, 2); });
+  ASSERT_TRUE(k.run_to_exit(1_s));
+  EXPECT_EQ(got, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(k.stats().epoll_sleeps, 1u);
+  EXPECT_EQ(k.stats().futex_sleeps, 0u);
+}
+
 TEST(KernelEdge, VbWakeDuringCheckQuantum) {
   // All threads on one core VB-park; the waker (external timer via a second
   // core) clears a flag while the parked thread is mid check-quantum.
@@ -220,7 +239,8 @@ TEST(KernelDeathTest, RejectsHostileInstrProfile) {
   for (const double bad : {nan, inf, -inf, -1.0}) {
     for (double hw::InstrProfile::*rate :
          {&hw::InstrProfile::instr_per_us, &hw::InstrProfile::l1_miss_per_instr,
-          &hw::InstrProfile::tlb_miss_per_instr}) {
+          &hw::InstrProfile::tlb_miss_per_instr,
+          &hw::InstrProfile::spin_stray_miss_prob}) {
       KernelConfig c;
       c.instr.*rate = bad;
       EXPECT_DEATH(Kernel k(c), "rates must be finite and non-negative");
