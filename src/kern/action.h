@@ -39,6 +39,9 @@ class SimWord {
   friend class Kernel;
   std::uint64_t id_ = 0;
   std::uint64_t value_ = 0;
+  /// Tasks queued in this word's futex bucket waiting on this word (the
+  /// bucket is shared by hash; the VB decision counts only this word's).
+  int futex_waiters_ = 0;
   /// Tasks currently spinning on this word *while running on a core*.
   std::vector<Task*> running_spinners_;
 };

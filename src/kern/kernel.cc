@@ -1086,15 +1086,11 @@ bool Kernel::handle_futex_wait(Core& c, Task* t, const FutexWaitAction& a) {
     finish_action(t, 1);
     return true;
   }
-  int same_word = 0;
-  for (const futex::WaiterLink* l = b.waiters.begin_link();
-       l != b.waiters.end_link(); l = l->next) {
-    if (l->task->wait_word == a.word) ++same_word;
-  }
-  const bool vb = vb_policy_.use_vb_futex(same_word + 1, n_online_, c.id,
-                                          t->tid);
+  const bool vb = vb_policy_.use_vb_futex(a.word->futex_waiters_ + 1,
+                                          n_online_, c.id, t->tid);
   t->waiter.vb = vb;
   b.waiters.push_back(&t->waiter);
+  ++a.word->futex_waiters_;
   t->wait_word = a.word;
   t->vb_waiting = vb;
   t->block_start = now();
@@ -1137,6 +1133,7 @@ bool Kernel::handle_futex_wake(Core& c, Task* t, const FutexWakeAction& a) {
     futex::WaiterLink* next = l->next;
     if (l->task->wait_word == a.word) {
       b.waiters.erase(l);
+      --a.word->futex_waiters_;
       chain->waiters.push_back(l);
       hold += cfg_.costs.wake_q_move;
     }

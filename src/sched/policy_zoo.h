@@ -63,9 +63,9 @@ class QueueBasedPolicy : public SchedPolicy {
   std::vector<SchedEntity*> detach_all(int cpu) override;
 
   /// Direct queue access for tests and tooling.
-  Runqueue& rq(int cpu) { return rqs_[static_cast<std::size_t>(cpu)]; }
+  Runqueue& rq(int cpu) { return *rq_views_[static_cast<std::size_t>(cpu)]; }
   const Runqueue& rq(int cpu) const {
-    return rqs_[static_cast<std::size_t>(cpu)];
+    return *rq_views_[static_cast<std::size_t>(cpu)];
   }
 
  protected:
@@ -84,8 +84,10 @@ class QueueBasedPolicy : public SchedPolicy {
  private:
   QueueTuning tuning_;
   std::deque<Runqueue> rqs_;  // deque: stable addresses, Runqueue is unmovable
-  /// Runqueue views handed to the balancer, built once — balance runs on
-  /// every newly-idle pick and balance tick, so it must not allocate.
+  /// Runqueue views, built once: `rq()` indexes them (a flat array, not
+  /// deque arithmetic, on every pick), and the balancer gets them as is —
+  /// balance runs on every newly-idle pick and balance tick, so it must not
+  /// allocate.
   std::vector<Runqueue*> rq_views_;
   LoadBalancer balancer_;
 };

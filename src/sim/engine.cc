@@ -2,63 +2,51 @@
 
 #include <limits>
 
-#include "common/logging.h"
-
 namespace eo::sim {
 
-std::uint32_t Engine::alloc_slot() {
-  if (free_head_ != kNoFreeSlot) {
-    const std::uint32_t idx = free_head_;
-    Slot& s = slot(idx);
-    free_head_ = s.next_free;
-    s.next_free = kNoFreeSlot;
-    return idx;
-  }
+std::uint32_t Engine::grow_slab() {
   if ((n_slots_ & (kChunkSize - 1)) == 0) {
     chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
   }
   return n_slots_++;
 }
 
-void Engine::retire_slot(Slot& s, std::uint32_t idx) {
-  // Invalidate every id and heap entry minted for this arming. Skipping 0 on
-  // wrap keeps make_id() != kInvalidEvent; a stale entry colliding after a
-  // full 2^32 reuse cycle of one slot is beyond any simulated horizon.
-  if (++s.gen == 0) s.gen = 1;
-  s.period = 0;
-  s.next_free = free_head_;
-  free_head_ = idx;
+void Engine::sift_down(const HeapEntry& e) {
+  const std::size_t n = heap_.size();
+  std::size_t i = 0;
+  for (;;) {
+    std::size_t child = 2 * i + 1;
+    if (child >= n) break;
+    if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
+    if (!before(heap_[child], e)) break;
+    heap_[i] = heap_[child];
+    i = child;
+  }
+  heap_[i] = e;
 }
 
-std::uint32_t Engine::arm(SimTime when, SimDuration period, EventFn fn) {
-  const std::uint32_t idx = alloc_slot();
-  Slot& s = slot(idx);
-  s.fn = std::move(fn);
-  s.period = period;
-  heap_.push(HeapEntry{when, next_seq_++, idx, s.gen});
-  ++live_events_;
-  return idx;
-}
-
-EventId Engine::schedule_at(SimTime when, EventFn fn) {
-  EO_CHECK_GE(when, now_) << "event scheduled in the past";
-  EO_CHECK(fn) << "empty event callback";
-  const std::uint32_t idx = arm(when, 0, std::move(fn));
-  return make_id(idx, slot(idx).gen);
-}
-
-EventId Engine::schedule_after(SimDuration delay, EventFn fn) {
-  EO_CHECK_GE(delay, 0);
-  return schedule_at(now_ + delay, std::move(fn));
+void Engine::pop_top() {
+  const HeapEntry last = heap_.back();
+  heap_.pop_back();
+  const std::size_t n = heap_.size();
+  if (n == 0) return;
+  // The old last leaf nearly always belongs near the bottom again, so walk
+  // the root's hole down to a leaf along the smaller children (one compare
+  // per level, not two) and sift `last` up from there.
+  std::size_t i = 0;
+  for (std::size_t child = 1; child < n; child = 2 * i + 1) {
+    if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
+    heap_[i] = heap_[child];
+    i = child;
+  }
+  sift_up(i, last);
 }
 
 EventId Engine::schedule_periodic(SimDuration first_delay, SimDuration period,
                                   EventFn fn) {
   EO_CHECK_GE(first_delay, 0);
   EO_CHECK_GT(period, 0);
-  EO_CHECK(fn) << "empty event callback";
-  const std::uint32_t idx = arm(now_ + first_delay, period, std::move(fn));
-  return make_id(idx, slot(idx).gen);
+  return arm(now_ + first_delay, period, std::move(fn));
 }
 
 void Engine::cancel(EventId id) {
@@ -69,44 +57,50 @@ void Engine::cancel(EventId id) {
   Slot& s = slot(idx);
   if (s.gen != gen) return;  // already fired, canceled, or slot reused
   s.fn.reset();              // release captures immediately
-  retire_slot(s, idx);
+  s.period = 0;
+  bump_gen(s);
+  release_slot(s, idx);
   --live_events_;
 }
 
 bool Engine::fire_next(SimTime deadline) {
   for (;;) {
     if (heap_.empty()) return false;
-    const HeapEntry top = heap_.top();
-    Slot* s = &slot(top.slot);
-    if (s->gen != top.gen) {
-      heap_.pop();  // stale: canceled (or the slot was since recycled)
+    const HeapEntry top = heap_.front();
+    Slot& s = slot(top.slot);
+    if (s.gen != top.gen) {
+      pop_top();  // stale: canceled (or the slot was since recycled)
       continue;
     }
     if (top.when > deadline) return false;
-    heap_.pop();
     now_ = top.when;
     ++fired_;
-    if (s->period > 0) {
+    if (s.period > 0) {
       // Re-arm in place: same slot, same generation, next occurrence takes
       // its sequence number now — the exact point a self-re-arming callback
       // would schedule it, preserving equal-timestamp insertion order.
-      heap_.push(
-          HeapEntry{top.when + s->period, next_seq_++, top.slot, top.gen});
+      sift_down(HeapEntry{top.when + s.period, next_seq_++, top.slot, top.gen});
       // Borrow the callback for the call: it may cancel its own id (which
       // resets the slot) or schedule events that grow the slab.
-      EventFn fn = std::move(s->fn);
+      EventFn fn = std::move(s.fn);
       fn();
-      Slot& again = slot(top.slot);
-      if (again.gen == top.gen) {
-        again.fn = std::move(fn);
-      }
+      if (s.gen == top.gen) s.fn = std::move(fn);
       // else: the callback canceled the timer; the borrowed fn dies here and
       // the re-armed heap entry is skipped as stale when it surfaces.
     } else {
-      EventFn fn = std::move(s->fn);
-      retire_slot(*s, top.slot);
+      // Fire in place. The generation moves first, so the callback canceling
+      // its own id is a no-op; the slot stays off the free list until the
+      // call returns, so nothing the callback schedules can land in it.
+      bump_gen(s);
       --live_events_;
-      fn();
+      root_spent_ = true;
+      s.fn();
+      s.fn.reset();
+      release_slot(s, top.slot);
+      if (root_spent_) {
+        root_spent_ = false;  // the callback scheduled nothing
+        pop_top();
+      }
     }
     return true;
   }

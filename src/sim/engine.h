@@ -8,31 +8,38 @@
 //
 // Hot-path layout (see src/sim/README.md for the full story):
 //
-//  * Callbacks are `EventFn` — inline small-buffer callables, so scheduling
-//    a kernel lambda (`[this, &c]`-shaped captures) performs no heap
-//    allocation and heap sifts move 24-byte PODs, never type-erased objects.
+//  * Callbacks are `EventFn` — inline small-buffer callables. `schedule_at`
+//    and `schedule_after` are templates that build the callable straight
+//    into its slot, so scheduling a kernel lambda (`[this, &c]`-shaped
+//    captures) performs no heap allocation and no callback relocation, and
+//    a one-shot event is invoked from its slot too.
 //  * Event state lives in a slab of slots recycled through a free list;
 //    `EventId` encodes (slot index, generation), so `cancel` and the
 //    fired-check are two array accesses — no hashing, no lazy tombstone set.
 //    Stale heap entries (canceled or re-armed slots) are recognized by a
 //    generation mismatch and skipped when popped.
-//  * Periodic events (`schedule_periodic`) re-arm in place: one slot and one
-//    callback for the lifetime of the timer, one heap push per fire.
+//  * The heap is the engine's own binary heap of 24-byte PODs keyed on
+//    (when, seq). A firing one-shot leaves its spent entry at the root while
+//    its callback runs; the first event the callback schedules overwrites
+//    the root and sifts down once, fusing the pop with the push. A periodic
+//    event (`schedule_periodic`) re-arms by rewriting the root in place: one
+//    slot and one callback for the lifetime of the timer.
 //
 // Determinism: events at equal timestamps fire in insertion order (a
 // monotonically increasing sequence number breaks ties), so a run is a pure
-// function of the configuration and RNG seeds. A periodic event's next
-// occurrence takes its sequence number at fire time, immediately before the
-// callback runs — exactly where a self-re-arming callback would schedule it,
-// so the periodic path is order-identical to the pop-push pattern it
-// replaces.
+// function of the configuration and RNG seeds. (when, seq) is a strict total
+// order, so any correct min-heap fires the same sequence. A periodic event's
+// next occurrence takes its sequence number at fire time, immediately before
+// the callback runs — exactly where a self-re-arming callback would schedule
+// it, so the periodic path is order-identical to that pattern.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <queue>
+#include <utility>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/units.h"
 #include "sim/event_fn.h"
 
@@ -54,12 +61,20 @@ class Engine {
   /// Current simulated time.
   SimTime now() const { return now_; }
 
-  /// Schedules `fn` to run at absolute time `when` (>= now). Returns an id
-  /// usable with `cancel`.
-  EventId schedule_at(SimTime when, EventFn fn);
+  /// Schedules `fn` (any `void()` callable, or an EventFn) to run at
+  /// absolute time `when` (>= now). Returns an id usable with `cancel`.
+  template <class F>
+  EventId schedule_at(SimTime when, F&& fn) {
+    EO_CHECK_GE(when, now_) << "event scheduled in the past";
+    return arm(when, 0, std::forward<F>(fn));
+  }
 
   /// Schedules `fn` to run `delay` nanoseconds from now.
-  EventId schedule_after(SimDuration delay, EventFn fn);
+  template <class F>
+  EventId schedule_after(SimDuration delay, F&& fn) {
+    EO_CHECK_GE(delay, 0);
+    return arm(now_ + delay, 0, std::forward<F>(fn));
+  }
 
   /// Schedules `fn` to run every `period` nanoseconds, first at
   /// now + first_delay, re-arming in place until canceled. The next
@@ -96,8 +111,8 @@ class Engine {
   std::size_t free_slots() const;
 
  private:
-  // Chunked so slot references stay stable while the slab grows (a periodic
-  // callback runs with its slot borrowed; growth must not move slots).
+  // Chunked so slot references stay stable while the slab grows (a callback
+  // runs from, or borrowed from, its slot; growth must not move slots).
   static constexpr std::uint32_t kChunkShift = 8;
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
   static constexpr std::uint32_t kNoFreeSlot = 0xffffffffu;
@@ -120,12 +135,10 @@ class Engine {
     std::uint32_t slot;
     std::uint32_t gen;
   };
-  struct Later {
-    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;  // earlier insertion fires first
-    }
-  };
+  /// The heap order: earlier time first, earlier insertion on a tie.
+  static bool before(const HeapEntry& a, const HeapEntry& b) {
+    return a.when < b.when || (a.when == b.when && a.seq < b.seq);
+  }
 
   Slot& slot(std::uint32_t i) {
     return chunks_[i >> kChunkShift][i & (kChunkSize - 1)];
@@ -137,9 +150,64 @@ class Engine {
     return (static_cast<EventId>(gen) << 32) | idx;
   }
 
-  std::uint32_t alloc_slot();
-  void retire_slot(Slot& s, std::uint32_t idx);
-  std::uint32_t arm(SimTime when, SimDuration period, EventFn fn);
+  std::uint32_t alloc_slot() {
+    if (free_head_ == kNoFreeSlot) return grow_slab();
+    const std::uint32_t idx = free_head_;
+    free_head_ = slot(idx).next_free;
+    return idx;
+  }
+  std::uint32_t grow_slab();
+  /// Invalidates every id and heap entry minted for the slot's arming.
+  /// Skipping 0 on wrap keeps make_id() != kInvalidEvent; a stale entry
+  /// colliding after a full 2^32 reuse cycle of one slot is beyond any
+  /// simulated horizon.
+  static void bump_gen(Slot& s) {
+    if (++s.gen == 0) s.gen = 1;
+  }
+  void release_slot(Slot& s, std::uint32_t idx) {
+    s.next_free = free_head_;
+    free_head_ = idx;
+  }
+
+  /// Arms a slot with `fn` built in place, and pushes its heap entry.
+  template <class F>
+  EventId arm(SimTime when, SimDuration period, F&& fn) {
+    const std::uint32_t idx = alloc_slot();
+    Slot& s = slot(idx);
+    s.fn.assign(std::forward<F>(fn));
+    EO_CHECK(s.fn) << "empty event callback";
+    s.period = period;
+    push(HeapEntry{when, next_seq_++, idx, s.gen});
+    ++live_events_;
+    return make_id(idx, s.gen);
+  }
+
+  /// Adds `e` to the heap. While a one-shot's callback runs, the first push
+  /// takes over its spent root entry: one sift-down instead of a pop plus a
+  /// sift-up push.
+  void push(const HeapEntry& e) {
+    if (root_spent_) {
+      root_spent_ = false;
+      sift_down(e);
+      return;
+    }
+    heap_.push_back(e);
+    sift_up(heap_.size() - 1, e);
+  }
+  /// Places `e` at the hole `i` or above it, moving parents down.
+  void sift_up(std::size_t i, const HeapEntry& e) {
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / 2;
+      if (!before(e, heap_[parent])) break;
+      heap_[i] = heap_[parent];
+      i = parent;
+    }
+    heap_[i] = e;
+  }
+  /// Places `e` at the root, replacing the entry there, and sifts it down.
+  void sift_down(const HeapEntry& e);
+  /// Removes the root entry.
+  void pop_top();
   /// Fires the heap head if it is live and due by `deadline`. Returns false
   /// when the head is past the deadline or the heap is empty (stale entries
   /// are drained so the caller's emptiness/peek checks see a live event).
@@ -149,7 +217,11 @@ class Engine {
   std::uint64_t next_seq_ = 1;
   std::uint64_t fired_ = 0;
   std::uint64_t live_events_ = 0;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, Later> heap_;
+  /// Binary min-heap under `before`; heap_[0] is the next event.
+  std::vector<HeapEntry> heap_;
+  /// True while a fired one-shot's callback runs: heap_[0] is its spent
+  /// entry, to be overwritten by the next push or popped after the call.
+  bool root_spent_ = false;
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t n_slots_ = 0;
   std::uint32_t free_head_ = kNoFreeSlot;

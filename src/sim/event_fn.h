@@ -43,20 +43,7 @@ class EventFn {
             class = std::enable_if_t<!std::is_same_v<D, EventFn> &&
                                      std::is_invocable_r_v<void, D&>>>
   EventFn(F&& f) {  // NOLINT(google-explicit-constructor)
-    if constexpr (sizeof(D) <= kInlineSize &&
-                  alignof(D) <= alignof(void*) &&
-                  std::is_nothrow_move_constructible_v<D>) {
-      ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
-      if constexpr (std::is_trivially_copyable_v<D> &&
-                    std::is_trivially_destructible_v<D>) {
-        ops_ = &InlineOps<D>::kTrivial;
-      } else {
-        ops_ = &InlineOps<D>::kOps;
-      }
-    } else {
-      ptr_slot() = new D(std::forward<F>(f));
-      ops_ = &HeapOps<D>::kOps;
-    }
+    construct<D>(std::forward<F>(f));
   }
 
   EventFn(EventFn&& o) noexcept { move_from(o); }
@@ -70,6 +57,21 @@ class EventFn {
   EventFn(const EventFn&) = delete;
   EventFn& operator=(const EventFn&) = delete;
   ~EventFn() { reset(); }
+
+  /// Replaces the held callable with `f`, built directly in this object: a
+  /// callable is constructed in place (no temporary EventFn to relocate),
+  /// and an EventFn argument is relocated exactly once.
+  template <class F>
+  void assign(F&& f) {
+    using D = std::decay_t<F>;
+    reset();
+    if constexpr (std::is_same_v<D, EventFn>) {
+      static_assert(!std::is_lvalue_reference_v<F>, "EventFn is move-only");
+      move_from(f);
+    } else {
+      construct<D>(std::forward<F>(f));
+    }
+  }
 
   /// Invokes the callable. Precondition: non-empty.
   void operator()() { ops_->invoke(storage_); }
@@ -125,6 +127,26 @@ class EventFn {
   };
 
   void*& ptr_slot() { return *reinterpret_cast<void**>(storage_); }
+
+  /// Builds `f` into this (empty) object: inline when it fits, else boxed.
+  template <class D, class F>
+  void construct(F&& f) {
+    static_assert(std::is_invocable_r_v<void, D&>, "EventFn needs a void()");
+    if constexpr (sizeof(D) <= kInlineSize &&
+                  alignof(D) <= alignof(void*) &&
+                  std::is_nothrow_move_constructible_v<D>) {
+      ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
+      if constexpr (std::is_trivially_copyable_v<D> &&
+                    std::is_trivially_destructible_v<D>) {
+        ops_ = &InlineOps<D>::kTrivial;
+      } else {
+        ops_ = &InlineOps<D>::kOps;
+      }
+    } else {
+      ptr_slot() = new D(std::forward<F>(f));
+      ops_ = &HeapOps<D>::kOps;
+    }
+  }
 
   void move_from(EventFn& o) noexcept {
     ops_ = o.ops_;

@@ -4,6 +4,7 @@
 
 #include <limits>
 
+#include "futex/futex.h"
 #include "kern/kernel.h"
 #include "runtime/sim_thread.h"
 
@@ -210,6 +211,62 @@ TEST(KernelEdge, ZeroWakeOnEmptyAndMismatchedWord) {
   });
   ASSERT_TRUE(k.run_to_exit(2_s));
   EXPECT_EQ(woken_b, 0u) << "wake must match the futex word, not the bucket";
+}
+
+TEST(KernelEdge, VbFutexCountsOnlySameWordWaiters) {
+  // VB's auto-disable counts the waiters on the caller's futex word, not on
+  // its bucket: a waiter on another word that hashes to the same bucket must
+  // not tip a lone waiter into VB, and woken waiters must stop counting.
+  KernelConfig c;
+  c.topo = hw::Topology::make_cores(2, 1);
+  c.features.vb_futex = true;  // auto-disable on: VB once waiters >= cores
+  Kernel k(c);
+  // A word's bucket depends only on its id and the bucket count, and the
+  // kernel's table has the default count, so a default table finds a pair.
+  futex::FutexTable probe;
+  kern::SimWord* a = k.alloc_word(0);
+  kern::SimWord* b = nullptr;
+  for (int i = 0; i < 4096 && b == nullptr; ++i) {
+    kern::SimWord* w = k.alloc_word(0);
+    if (&probe.bucket_for(w) == &probe.bucket_for(a)) b = w;
+  }
+  ASSERT_NE(b, nullptr);
+  runtime::spawn(k, "b-waiter", [b](Env env) -> SimThread {
+    co_await env.futex_wait(b, 0);  // alone on b: vanilla
+    co_return;
+  });
+  runtime::spawn(k, "a-first", [a](Env env) -> SimThread {
+    co_await env.compute(100_us);
+    co_await env.futex_wait(a, 0);  // first on a (b's waiter shares the
+    co_return;                      // bucket but not the word): vanilla
+  });
+  runtime::spawn(k, "a-second", [a](Env env) -> SimThread {
+    co_await env.compute(500_us);
+    co_await env.futex_wait(a, 0);  // second on a: 2 waiters >= 2 cores, VB
+    co_return;
+  });
+  runtime::spawn(k, "a-late", [a](Env env) -> SimThread {
+    co_await env.compute(20_ms);
+    co_await env.futex_wait(a, 1);  // a's earlier waiters are gone: vanilla
+    co_return;
+  });
+  std::uint64_t woken_a = 0, woken_b = 0, woken_late = 0;
+  runtime::spawn(k, "waker", [&, a, b](Env env) -> SimThread {
+    co_await env.compute(2_ms);
+    co_await env.store(a, 1);
+    woken_a = co_await env.futex_wake(a, 10);
+    co_await env.store(b, 1);
+    woken_b = co_await env.futex_wake(b, 10);
+    co_await env.compute(40_ms);
+    woken_late = co_await env.futex_wake(a, 10);
+    co_return;
+  });
+  ASSERT_TRUE(k.run_to_exit(5_s));
+  EXPECT_EQ(woken_a, 2u);
+  EXPECT_EQ(woken_b, 1u);
+  EXPECT_EQ(woken_late, 1u);
+  EXPECT_EQ(k.stats().vb_parks, 1u);
+  EXPECT_EQ(k.stats().futex_sleeps, 3u);
 }
 
 TEST(KernelEdge, TaskStatsAccumulate) {

@@ -1,11 +1,15 @@
 // Engine stress/property tests: randomized schedule/cancel interleavings
-// checked against a reference model, id-reuse-after-generation-bump safety,
-// slab recycling bounds, and order-equivalence of the periodic path with the
-// self-re-arming pattern it replaced.
+// checked against a reference model (from outside the engine and from inside
+// its callbacks), id-reuse-after-generation-bump safety, slab recycling
+// bounds, and order-equivalence of the periodic path with the self-re-arming
+// pattern it replaced.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -94,6 +98,186 @@ TEST_P(ModelStress, MatchesReferenceModel) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ModelStress,
+                         ::testing::Values(1u, 2u, 3u, 0xc0ffeeu, 77u));
+
+// --- randomized model check, scheduling from inside callbacks ---------------
+//
+// Callbacks schedule 0-3 events (a quarter of them at now(), tying with
+// whatever else is due), cancel random ids (their own, fired ones, pending
+// ones), and arm periodic timers that cancel themselves or each other. The
+// same seeded script runs against the engine and against RefEngine, a flat
+// list scanned for the minimum (when, insertion seq): both must fire the
+// same events at the same times and agree on has_pending / events_fired
+// after every run_until. This drives the engine's in-slot firing and the
+// deferred root pop, which outside-only scheduling never reaches.
+
+class RefEngine {
+ public:
+  SimTime now() const { return now_; }
+  std::uint64_t schedule_at(SimTime when, std::function<void()> fn) {
+    return add(when, 0, std::move(fn));
+  }
+  std::uint64_t schedule_periodic(SimDuration first_delay, SimDuration period,
+                                  std::function<void()> fn) {
+    return add(now_ + first_delay, period, std::move(fn));
+  }
+  void cancel(std::uint64_t id) {
+    std::erase_if(pending_, [id](const Pending& p) { return p.id == id; });
+  }
+  std::uint64_t run_until(SimTime deadline) {
+    std::uint64_t n = 0;
+    for (;;) {
+      const auto it = std::min_element(
+          pending_.begin(), pending_.end(),
+          [](const Pending& a, const Pending& b) {
+            return std::pair(a.when, a.seq) < std::pair(b.when, b.seq);
+          });
+      if (it == pending_.end() || it->when > deadline) break;
+      now_ = it->when;
+      ++fired_;
+      ++n;
+      std::function<void()> fn = it->fn;
+      if (it->period > 0) {
+        // Next occurrence is sequenced before the callback runs.
+        it->when += it->period;
+        it->seq = next_seq_++;
+      } else {
+        pending_.erase(it);
+      }
+      fn();
+    }
+    if (now_ < deadline) now_ = deadline;
+    return n;
+  }
+  std::uint64_t run() {
+    return run_until(std::numeric_limits<SimTime>::max());
+  }
+  bool has_pending() const { return !pending_.empty(); }
+  std::uint64_t events_fired() const { return fired_; }
+
+ private:
+  struct Pending {
+    SimTime when;
+    std::uint64_t seq;
+    std::uint64_t id;
+    SimDuration period;
+    std::function<void()> fn;
+  };
+  std::uint64_t add(SimTime when, SimDuration period,
+                    std::function<void()> fn) {
+    const std::uint64_t id = next_id_++;
+    pending_.push_back(Pending{when, next_seq_++, id, period, std::move(fn)});
+    return id;
+  }
+
+  SimTime now_ = 0;
+  std::uint64_t next_seq_ = 1;
+  std::uint64_t next_id_ = 1;
+  std::uint64_t fired_ = 0;
+  std::vector<Pending> pending_;
+};
+
+struct ScriptResult {
+  std::vector<std::pair<std::size_t, SimTime>> log;  ///< (event key, time)
+  std::vector<std::pair<bool, std::uint64_t>> checkpoints;
+  bool operator==(const ScriptResult&) const = default;
+};
+
+/// Every scheduled event gets a key (its index in `ids`), so a script can
+/// name "its own id" or "event j" the same way on either engine.
+template <class E>
+class Script {
+ public:
+  Script(E& e, std::uint64_t seed) : e_(e), rng_(seed) {}
+
+  ScriptResult run() {
+    for (int step = 0; step < 1500; ++step) {
+      const std::uint64_t op = rng_.next_below(100);
+      if (op < 35) {
+        spawn(static_cast<SimDuration>(rng_.next_below(40)),
+              rng_.next_below(8) == 0);
+      } else if (op < 55) {
+        cancel_random();
+      } else {
+        e_.run_until(e_.now() + static_cast<SimTime>(rng_.next_below(60)));
+        checkpoint();
+      }
+    }
+    budget_ = 0;  // let the periodic timers wind down without new children
+    e_.run_until(e_.now() + 5000);
+    checkpoint();
+    for (const std::uint64_t id : ids_) e_.cancel(id);
+    e_.run();
+    checkpoint();
+    return std::move(out_);
+  }
+
+ private:
+  void spawn(SimDuration delay, bool periodic) {
+    const std::size_t key = ids_.size();
+    if (periodic) {
+      const auto period = static_cast<SimDuration>(1 + rng_.next_below(20));
+      ids_.push_back(e_.schedule_periodic(delay, period,
+                                          [this, key] { fire(key, true); }));
+    } else {
+      ids_.push_back(
+          e_.schedule_at(e_.now() + delay, [this, key] { fire(key, false); }));
+    }
+  }
+
+  void cancel_random() {
+    if (!ids_.empty()) e_.cancel(ids_[rng_.next_below(ids_.size())]);
+  }
+
+  void fire(std::size_t key, bool periodic) {
+    out_.log.emplace_back(key, e_.now());
+    const std::uint64_t kids = budget_ > 0 ? rng_.next_below(4) : 0;
+    for (std::uint64_t i = 0; i < kids; ++i, --budget_) {
+      const std::uint64_t r = rng_.next_below(8);
+      // A quarter at now(): ties with the event's own time and with
+      // everything else due then; some periodic, some ahead.
+      const auto delay =
+          r < 2 ? SimDuration{0} : static_cast<SimDuration>(rng_.next_below(30));
+      spawn(delay, r == 7);
+    }
+    const std::uint64_t cancels = rng_.next_below(3);
+    for (std::uint64_t i = 0; i < cancels; ++i) {
+      if (rng_.next_below(4) == 0) {
+        e_.cancel(ids_[key]);  // own id: no-op for a one-shot
+      } else {
+        cancel_random();       // pending, fired, or another periodic
+      }
+    }
+    if (periodic && rng_.next_below(5) == 0) e_.cancel(ids_[key]);
+  }
+
+  void checkpoint() {
+    out_.checkpoints.emplace_back(e_.has_pending(), e_.events_fired());
+  }
+
+  E& e_;
+  Rng rng_;
+  std::vector<std::uint64_t> ids_;
+  std::int64_t budget_ = 4000;  ///< events callbacks may still schedule
+  ScriptResult out_;
+};
+
+class ModelStressInCallbacks : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(ModelStressInCallbacks, MatchesReferenceModel) {
+  Engine e;
+  const ScriptResult got = Script<Engine>(e, GetParam()).run();
+  RefEngine ref;
+  const ScriptResult want = Script<RefEngine>(ref, GetParam()).run();
+  ASSERT_EQ(got.checkpoints, want.checkpoints);
+  EXPECT_EQ(got.log, want.log);
+  EXPECT_GT(got.log.size(), 2000u);  // the callbacks really did the work
+  EXPECT_FALSE(e.has_pending());
+  EXPECT_EQ(e.free_slots(), e.slab_slots());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ModelStressInCallbacks,
                          ::testing::Values(1u, 2u, 3u, 0xc0ffeeu, 77u));
 
 // --- id reuse / generation safety -------------------------------------------

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <set>
 #include <utility>
 
 #include "sim/engine.h"
@@ -147,6 +148,96 @@ TEST(EventFn, ResetDestroysHeldCallable) {
   f.reset();
   EXPECT_TRUE(watch.expired());
   EXPECT_FALSE(static_cast<bool>(f));
+}
+
+TEST(EventFn, AssignBuildsPointerCaptureInPlaceWithoutAllocating) {
+  int target = 0;
+  int* p = &target;
+  EventFn f([p] { *p += 1; });
+  const std::uint64_t n = allocs_during([&] {
+    f.assign([p] { *p += 10; });  // replaces the held callable
+    ASSERT_TRUE(f.is_inline());
+    f();
+  });
+  EXPECT_EQ(n, 0u);
+  EXPECT_EQ(target, 10);
+}
+
+/// A non-trivial inline capture that records every instance's lifetime:
+/// each one must be destroyed exactly once, and `moves` counts relocations.
+struct Tally {
+  std::set<const void*> live;
+  int moves = 0;
+  int calls = 0;
+  bool double_destroy = false;
+};
+
+struct Counting {
+  Tally* t;
+  explicit Counting(Tally* tally) : t(tally) { t->live.insert(this); }
+  Counting(const Counting& o) : t(o.t) { t->live.insert(this); }
+  Counting(Counting&& o) noexcept : t(o.t) {
+    t->live.insert(this);
+    ++t->moves;
+  }
+  Counting& operator=(const Counting&) = delete;
+  ~Counting() {
+    if (t->live.erase(this) != 1) t->double_destroy = true;
+  }
+  void operator()() { ++t->calls; }
+};
+
+TEST(EventFn, EngineDestroysCaptureExactlyOnceWhenFired) {
+  Tally tally;
+  {
+    Engine e;
+    e.schedule_after(5, Counting(&tally));
+    EXPECT_EQ(tally.live.size(), 1u);  // the one in the slot
+    EXPECT_EQ(tally.moves, 1);         // built in place: one move, no hops
+    e.run();
+    EXPECT_EQ(tally.calls, 1);
+    EXPECT_TRUE(tally.live.empty());   // released as soon as it fired
+  }
+  EXPECT_FALSE(tally.double_destroy);
+}
+
+TEST(EventFn, EngineDestroysCaptureExactlyOnceWhenCanceled) {
+  Tally tally;
+  {
+    Engine e;
+    const EventId id = e.schedule_after(5, Counting(&tally));
+    const EventId tick = e.schedule_periodic(1, 1, Counting(&tally));
+    e.run_until(3);
+    EXPECT_EQ(tally.calls, 3);  // the periodic fired at 1, 2, 3
+    EXPECT_EQ(tally.live.size(), 2u);
+    e.cancel(id);
+    e.cancel(tick);
+    EXPECT_TRUE(tally.live.empty());  // released at cancel, not later
+    e.run();
+    EXPECT_EQ(tally.calls, 3);
+  }
+  EXPECT_FALSE(tally.double_destroy);
+}
+
+TEST(EventFn, EngineMovesAnEventFnArgumentOnce) {
+  Tally tally;
+  {
+    Engine e;
+    EventFn f{Counting(&tally)};
+    const int before = tally.moves;
+    e.schedule_after(5, std::move(f));
+    EXPECT_EQ(tally.moves - before, 1);
+    EXPECT_EQ(tally.live.size(), 1u);
+    e.run();
+    EXPECT_EQ(tally.calls, 1);
+    EXPECT_TRUE(tally.live.empty());
+  }
+  EXPECT_FALSE(tally.double_destroy);
+}
+
+TEST(EventFnDeathTest, EngineRejectsEmptyCallback) {
+  Engine e;
+  EXPECT_DEATH(e.schedule_after(1, EventFn{}), "empty event callback");
 }
 
 // --- the engine-level no-allocation guarantee (acceptance criterion) ---
