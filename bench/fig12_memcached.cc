@@ -60,11 +60,13 @@ exp::CellRun run_one(int workers, double rate, const metrics::RunConfig& cfg,
   if (k.sampler().enabled()) {
     r.run.metrics = std::make_shared<obs::MetricsDoc>(k.snapshot_metrics());
   }
-  r.set("tput_ops_s", server.latencies().throughput(window + 100_ms))
-      .set("avg_us", server.latencies().mean_us())
-      .set("p95_us", server.latencies().p95_us())
-      .set("p99_us", server.latencies().p99_us())
-      .set("p999_us", server.latencies().p999_us());
+  const Histogram& lat = server.latencies();
+  r.set("tput_ops_s", static_cast<double>(lat.total_count()) /
+                          to_sec(r.run.exec_time))
+      .set("avg_us", to_us(static_cast<SimDuration>(lat.mean())))
+      .set("p95_us", to_us(lat.p95()))
+      .set("p99_us", to_us(lat.p99()))
+      .set("p999_us", to_us(lat.p999()));
   return r;
 }
 

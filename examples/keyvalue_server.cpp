@@ -40,10 +40,11 @@ void run(const char* label, int workers, bool optimized) {
   server.stop();
   kernel.run_to_exit(kernel.now() + 1_s);
 
+  const Histogram& lat = server.latencies();
   std::printf("  %-24s tput=%7.0f ops/s  avg=%6.1fus  p95=%7.1fus  p99=%7.1fus\n",
-              label, server.latencies().throughput(600_ms),
-              server.latencies().mean_us(), server.latencies().p95_us(),
-              server.latencies().p99_us());
+              label, static_cast<double>(lat.total_count()) / to_sec(600_ms),
+              to_us(static_cast<SimDuration>(lat.mean())), to_us(lat.p95()),
+              to_us(lat.p99()));
 }
 
 }  // namespace

@@ -13,22 +13,6 @@ thread_local Task* g_current_task = nullptr;
 Task* task_of(sched::SchedEntity* se) { return static_cast<Task*>(se->task); }
 }  // namespace
 
-const char* to_string(TaskState s) {
-  switch (s) {
-    case TaskState::kNew:
-      return "new";
-    case TaskState::kRunnable:
-      return "runnable";
-    case TaskState::kRunning:
-      return "running";
-    case TaskState::kSleeping:
-      return "sleeping";
-    case TaskState::kExited:
-      return "exited";
-  }
-  return "?";
-}
-
 Kernel::Kernel(KernelConfig cfg)
     : cfg_(std::move(cfg)),
       tracer_(&engine_, cfg_.topo.n_cores(), cfg_.trace),
@@ -115,7 +99,7 @@ void Kernel::attach_coroutine(Task* t, std::coroutine_handle<> top) {
 }
 
 void Kernel::start_task(Task* t, int cpu) {
-  EO_CHECK(t->state == TaskState::kNew);
+  EO_CHECK(!t->delay.started());
   EO_CHECK(t->top) << "start_task before attach_coroutine";
   if (cpu < 0) {
     // Round-robin over online cores.
@@ -125,7 +109,6 @@ void Kernel::start_task(Task* t, int cpu) {
     } while (!core(cpu).online);
   }
   EO_CHECK(core(cpu).online);
-  t->state = TaskState::kRunnable;
   t->delay.start(now(), obs::TaskDelayState::kRunnable);
   t->last_cpu = cpu;
   ++live_tasks_;
@@ -231,7 +214,6 @@ void Kernel::set_online_cores(int n) {
       Core& d = core(dst);
       const bool cross = !cfg_.topo.same_socket(c.id, d.id);
       (cross ? stats_.migrations_cross_node : stats_.migrations_in_node)++;
-      ++t->stats.migrations;
       t->resume_penalty = std::max(
           t->resume_penalty,
           cache_.migration_penalty(t->mem.working_set, cross) +
@@ -246,9 +228,7 @@ void Kernel::set_online_cores(int n) {
       // Post-migration queue wait is attributed to kMigrating until the
       // task first runs at the destination; VB-parked evictees keep their
       // park attribution (they are not waiting for the CPU).
-      if (!se->vb_blocked) {
-        t->delay.transition(now(), obs::TaskDelayState::kMigrating);
-      }
+      if (!se->vb_blocked) set_state(t, obs::TaskDelayState::kMigrating);
       kick(d);
     }
   }
@@ -361,17 +341,10 @@ void Kernel::collect_sample(obs::CoreSample* cores,
   g->tasks_runnable = 0;
   g->tasks_sleeping = 0;
   for (const auto& tp : tasks_) {
-    switch (tp->state) {
-      case TaskState::kRunnable:
-      case TaskState::kRunning:
-        ++g->tasks_runnable;
-        break;
-      case TaskState::kSleeping:
-        ++g->tasks_sleeping;
-        break;
-      case TaskState::kNew:
-      case TaskState::kExited:
-        break;
+    if (tp->blocked()) {
+      ++g->tasks_sleeping;
+    } else if (tp->delay.alive()) {
+      ++g->tasks_runnable;
     }
   }
   g->context_switches = stats_.context_switches;
@@ -379,43 +352,6 @@ void Kernel::collect_sample(obs::CoreSample* cores,
   g->migrations = stats_.total_migrations();
   g->vb_parks = stats_.vb_parks;
   g->vb_unparks = stats_.vb_unparks;
-  // Taskstats conservation + consistency cross-check, fed to the watchdog.
-  // Conservation (state times sum to lifetime) is necessary; the kernel-state
-  // mapping makes the check non-vacuous: a transition hook wired to the wrong
-  // call site shows up as a delay state the kernel state forbids.
-  g->taskstats_bad = 0;
-  for (const auto& tp : tasks_) {
-    const Task& t = *tp;
-    bool ok = t.delay.conserved(now());
-    if (obs::kTaskstatsEnabled && ok) {
-      switch (t.state) {
-        case TaskState::kNew:
-          ok = !t.delay.started();
-          break;
-        case TaskState::kRunnable:
-          ok = t.delay.started() && !t.delay.finished() &&
-               (t.delay.state() == obs::TaskDelayState::kRunnable ||
-                t.delay.state() == obs::TaskDelayState::kVbParked ||
-                t.delay.state() == obs::TaskDelayState::kBwdSkipDelayed ||
-                t.delay.state() == obs::TaskDelayState::kMigrating);
-          break;
-        case TaskState::kRunning:
-          ok = t.delay.started() && !t.delay.finished() &&
-               t.delay.state() == obs::TaskDelayState::kOncpu;
-          break;
-        case TaskState::kSleeping:
-          ok = t.delay.started() && !t.delay.finished() &&
-               (t.delay.state() == obs::TaskDelayState::kFutexBlocked ||
-                t.delay.state() == obs::TaskDelayState::kEpollBlocked ||
-                t.delay.state() == obs::TaskDelayState::kSleeping);
-          break;
-        case TaskState::kExited:
-          ok = t.delay.finished();
-          break;
-      }
-    }
-    if (!ok) ++g->taskstats_bad;
-  }
 }
 
 obs::MetricsDoc Kernel::snapshot_metrics() const {
@@ -442,6 +378,7 @@ obs::MetricsDoc Kernel::snapshot_metrics() const {
 
 obs::TaskstatsDoc Kernel::snapshot_taskstats() const {
   obs::TaskstatsDoc doc;
+  if (!obs::kTaskstatsEnabled) return doc;
   doc.tasks.reserve(tasks_.size());
   for (const auto& tp : tasks_) {
     const Task& t = *tp;
@@ -490,7 +427,6 @@ void Kernel::account_segment(Core& c) {
   }
   if (c.seg_kind == hw::SegmentKind::kSpin) {
     c.metrics.spin_busy += dur;
-    c.current->stats.spin_time += dur;
     if (ple_.enabled() && c.seg_pause) {
       const auto exits = ple_.exits_for(dur);
       stats_.ple_exits += exits;
@@ -606,10 +542,9 @@ void Kernel::schedule(Core& c) {
                  real_switch ? 1u : 0u);
   c.last_task = t;
   c.current = t;
-  t->state = TaskState::kRunning;
   // Time on a core is on-CPU time, including the switch-in cost below and VB
   // flag-check quanta — the paper's direct oversubscription cost.
-  t->delay.transition(now(), obs::TaskDelayState::kOncpu);
+  set_state(t, obs::TaskDelayState::kOncpu);
   t->last_cpu = c.id;
   c.in_switch = true;
   set_segment(c, hw::SegmentKind::kRegular, hw::kVariedSites, false);
@@ -746,7 +681,8 @@ void Kernel::resume_step(Core& c, Task* t) {
       return;
     }
     EO_CHECK(false) << "unhandled action index " << t->pending.index()
-                    << " task=" << t->name << " state=" << to_string(t->state)
+                    << " task=" << t->name
+                    << " state=" << obs::to_string(t->delay.state())
                     << " now=" << now();
   }
 }
@@ -895,7 +831,7 @@ void Kernel::notify_spinners(SimWord* word) {
 }
 
 void Kernel::spin_exit_event(Task* t, SimWord* w) {
-  if (t->state != TaskState::kRunning) return;
+  if (!t->running()) return;
   auto* a = std::get_if<SpinUntilAction>(&t->pending);
   if (a == nullptr || !a->exit_scheduled) return;
   EO_CHECK_GE(t->se.cpu, 0);
@@ -947,7 +883,6 @@ void Kernel::deschedule_current(Core& c, bool requeue, bool voluntary) {
     ++t->stats.voluntary_switches;
     ++stats_.voluntary_switches;
   } else {
-    ++t->stats.involuntary_switches;
     ++stats_.involuntary_switches;
   }
   EO_TRACE_EVENT(&tracer_, c.id, trace::EventKind::kSwitchOut, t->tid,
@@ -955,17 +890,15 @@ void Kernel::deschedule_current(Core& c, bool requeue, bool voluntary) {
                  voluntary ? 1u : 0u);
   policy_->put_prev(c.id, &t->se);
   if (requeue) {
-    t->state = TaskState::kRunnable;
     // A VB-parked task back on the queue waits in kVbParked; otherwise this
     // is plain runqueue wait. Callers that requeue for a different reason
     // (BWD skip, VB park-in-progress) refine the state right after, at the
     // same timestamp, so no time is misattributed.
-    t->delay.transition(now(), t->se.vb_blocked
-                                   ? obs::TaskDelayState::kVbParked
-                                   : obs::TaskDelayState::kRunnable);
+    set_state(t, t->se.vb_blocked ? obs::TaskDelayState::kVbParked
+                                  : obs::TaskDelayState::kRunnable);
   } else {
-    // Blocking/exit paths: the caller sets the task's new state (and its
-    // delay state) immediately after.
+    // Blocking/exit paths: the caller sets the task's new state immediately
+    // after.
     policy_->dequeue(c.id, &t->se);
   }
   c.current = nullptr;
@@ -1092,25 +1025,20 @@ bool Kernel::handle_futex_wait(Core& c, Task* t, const FutexWaitAction& a) {
   b.waiters.push_back(&t->waiter);
   ++a.word->futex_waiters_;
   t->wait_word = a.word;
-  t->vb_waiting = vb;
-  t->block_start = now();
-  ++t->stats.futex_waits;
   EO_TRACE_EVENT(&tracer_, c.id, trace::EventKind::kFutexWait, t->tid,
                  a.word->id_, vb ? 1u : 0u);
   if (vb) {
     ++stats_.vb_parks;
-    ++t->stats.vb_parks;
     t->overhead += cost + cfg_.costs.vb_park;
     deschedule_current(c, /*requeue=*/true, /*voluntary=*/true);
     policy_->vb_park(c.id, &t->se);
-    t->delay.transition(now(), obs::TaskDelayState::kVbParked);
+    set_state(t, obs::TaskDelayState::kVbParked);
   } else {
     ++stats_.futex_sleeps;
-    if (!vb && cfg_.features.vb_futex) ++stats_.vb_fallback_vanilla;
+    if (cfg_.features.vb_futex) ++stats_.vb_fallback_vanilla;
     t->overhead += cost + cfg_.costs.futex_wait_setup;
     deschedule_current(c, /*requeue=*/false, /*voluntary=*/true);
-    t->state = TaskState::kSleeping;
-    t->delay.transition(now(), obs::TaskDelayState::kFutexBlocked);
+    set_state(t, obs::TaskDelayState::kFutexBlocked);
   }
   schedule(c);
   return false;
@@ -1208,7 +1136,7 @@ void Kernel::wake_chain_step(WakeChain* chain) {
   EO_TRACE_EVENT(&tracer_, waker_cpu, trace::EventKind::kWakeupEnd,
                  w->tid, result, 0);
   finish_action(w, result);
-  if (w->state != TaskState::kRunning) {
+  if (!w->running()) {
     // Waker was evicted (core offlining); it resumes when next scheduled.
     return;
   }
@@ -1252,12 +1180,9 @@ int Kernel::select_wake_cpu(Task* t) {
 }
 
 SimDuration Kernel::wake_task_vanilla(Task* t) {
-  EO_CHECK(t->state == TaskState::kSleeping);
+  EO_CHECK(t->blocked());
   ++stats_.wakeups;
-  ++t->stats.wakeups;
-  t->stats.sleep_time += now() - t->block_start;
   t->wait_word = nullptr;
-  t->wait_epfd = -1;
   SimDuration cost =
       cfg_.costs.ttwu_base + n_online_ * cfg_.costs.ttwu_scan_per_core;
   const int cpu = select_wake_cpu(t);
@@ -1269,7 +1194,6 @@ SimDuration Kernel::wake_task_vanilla(Task* t) {
     ++stats_.wakeup_migrations;
     const bool cross = !cfg_.topo.same_socket(cpu, t->last_cpu);
     (cross ? stats_.migrations_cross_node : stats_.migrations_in_node)++;
-    ++t->stats.migrations;
     t->resume_penalty = std::max(
         t->resume_penalty, cache_.migration_penalty(t->mem.working_set,
                                                     cross) +
@@ -1278,11 +1202,10 @@ SimDuration Kernel::wake_task_vanilla(Task* t) {
                    static_cast<std::uint64_t>(t->last_cpu),
                    static_cast<std::uint64_t>(cpu));
   }
-  t->state = TaskState::kRunnable;
   // Cross-CPU wakeup placements charge the post-wake queue wait to
   // kMigrating (the cache-cold dispatch delay); same-CPU wakes to kRunnable.
-  t->delay.transition(now(), wake_migrated ? obs::TaskDelayState::kMigrating
-                                           : obs::TaskDelayState::kRunnable);
+  set_state(t, wake_migrated ? obs::TaskDelayState::kMigrating
+                             : obs::TaskDelayState::kRunnable);
   t->last_cpu = cpu;
   t->runnable_since = now();
   EO_TRACE_EVENT(&tracer_, cpu, trace::EventKind::kWakeup, t->tid,
@@ -1293,14 +1216,10 @@ SimDuration Kernel::wake_task_vanilla(Task* t) {
 }
 
 SimDuration Kernel::wake_task_vb(Task* t) {
-  EO_CHECK(t->vb_waiting);
+  EO_CHECK(t->se.vb_blocked);
   ++stats_.vb_unparks;
   ++stats_.wakeups;
-  ++t->stats.wakeups;
-  t->stats.sleep_time += now() - t->block_start;
   t->wait_word = nullptr;
-  t->wait_epfd = -1;
-  t->vb_waiting = false;
   EO_CHECK_GE(t->se.cpu, 0);
   Core& tc = core(t->se.cpu);
   t->runnable_since = now();
@@ -1312,9 +1231,8 @@ SimDuration Kernel::wake_task_vb(Task* t) {
     policy_->vb_clear_current(tc.id, &t->se);
   } else {
     policy_->vb_unpark(tc.id, &t->se);
-    t->state = TaskState::kRunnable;
     // Unparked: the remaining queue wait is ordinary rq wait, not park time.
-    t->delay.transition(now(), obs::TaskDelayState::kRunnable);
+    set_state(t, obs::TaskDelayState::kRunnable);
     maybe_preempt(tc, &t->se);
   }
   return cfg_.costs.vb_unpark;
@@ -1341,24 +1259,19 @@ bool Kernel::handle_epoll_wait(Core& c, Task* t, const EpollWaitAction& a) {
   const bool vb = vb_policy_.use_vb_epoll(
       static_cast<int>(ep.waiters.size()) + 1, n_online_, c.id, t->tid);
   ep.waiters.push_back(epollsim::EpollWaiter{t, vb});
-  t->wait_epfd = a.epfd;
-  t->vb_waiting = vb;
-  t->block_start = now();
   EO_TRACE_EVENT(&tracer_, c.id, trace::EventKind::kEpollWait, t->tid,
                  static_cast<std::uint64_t>(a.epfd), vb ? 1u : 0u);
   if (vb) {
     ++stats_.vb_parks;
-    ++t->stats.vb_parks;
     t->overhead += cost + cfg_.costs.vb_park;
     deschedule_current(c, /*requeue=*/true, /*voluntary=*/true);
     policy_->vb_park(c.id, &t->se);
-    t->delay.transition(now(), obs::TaskDelayState::kVbParked);
+    set_state(t, obs::TaskDelayState::kVbParked);
   } else {
     ++stats_.epoll_sleeps;
     t->overhead += cost + cfg_.costs.futex_wait_setup;
     deschedule_current(c, /*requeue=*/false, /*voluntary=*/true);
-    t->state = TaskState::kSleeping;
-    t->delay.transition(now(), obs::TaskDelayState::kEpollBlocked);
+    set_state(t, obs::TaskDelayState::kEpollBlocked);
   }
   schedule(c);
   return false;
@@ -1420,16 +1333,14 @@ void Kernel::epoll_post_external(int epfd, std::uint64_t data) {
 // ---------------------------------------------------------------------------
 
 void Kernel::handle_sleep(Core& c, Task* t, const SleepAction& a) {
-  t->block_start = now();
   EO_TRACE_EVENT(&tracer_, c.id, trace::EventKind::kSleep, t->tid,
                  a.duration > 0 ? static_cast<std::uint64_t>(a.duration) : 1u,
                  0);
   deschedule_current(c, /*requeue=*/false, /*voluntary=*/true);
-  t->state = TaskState::kSleeping;
-  t->delay.transition(now(), obs::TaskDelayState::kSleeping);
+  set_state(t, obs::TaskDelayState::kSleeping);
   const SimDuration d = std::max<SimDuration>(a.duration, 1);
   engine_.schedule_after(d, [this, t] {
-    if (t->state != TaskState::kSleeping) return;
+    if (!t->blocked()) return;
     finish_action(t, 0);
     wake_task_vanilla(t);
   });
@@ -1439,7 +1350,6 @@ void Kernel::handle_sleep(Core& c, Task* t, const SleepAction& a) {
 void Kernel::handle_exit(Core& c, Task* t) {
   EO_TRACE_EVENT(&tracer_, c.id, trace::EventKind::kTaskExit, t->tid, 0, 0);
   deschedule_current(c, /*requeue=*/false, /*voluntary=*/true);
-  t->state = TaskState::kExited;
   // The final interval (still kOncpu: exit happens from the CPU) is charged
   // and the record sealed; lifetime is now fixed.
   t->delay.finish(now());
@@ -1467,7 +1377,6 @@ void Kernel::bwd_timer_fire(Core& c) {
     if (t != nullptr && !t->in_kernel && !c.in_switch &&
         policy_->nr_schedulable(c.id) > 0) {
       ++stats_.bwd_descheduled;
-      ++t->stats.bwd_descheduled;
       EO_TRACE_EVENT(&tracer_, c.id, trace::EventKind::kBwdDesched, t->tid,
                      verdict.ground_truth_spin ? 1u : 0u, 0);
       deschedule_current(c, /*requeue=*/true, /*voluntary=*/false);
@@ -1475,7 +1384,7 @@ void Kernel::bwd_timer_fire(Core& c) {
       // The whole delay a detection induces — from the skip mark until the
       // task next gets the CPU — is attributed to the skip, even after the
       // skip window itself expires.
-      t->delay.transition(now(), obs::TaskDelayState::kBwdSkipDelayed);
+      set_state(t, obs::TaskDelayState::kBwdSkipDelayed);
       schedule(c);
     }
   }
@@ -1510,7 +1419,6 @@ void Kernel::apply_migration(const sched::BalanceDecision& d) {
   policy_->dequeue(d.src_cpu, d.victim);
   (d.cross_socket ? stats_.migrations_cross_node
                   : stats_.migrations_in_node)++;
-  ++t->stats.migrations;
   t->resume_penalty = std::max(
       t->resume_penalty,
       cache_.migration_penalty(t->mem.working_set, d.cross_socket) +
@@ -1523,9 +1431,7 @@ void Kernel::apply_migration(const sched::BalanceDecision& d) {
   policy_->place_migrated(d.src_cpu, d.dst_cpu, d.victim);
   // Queue wait at the destination until first dispatch is kMigrating;
   // VB-parked victims keep their park attribution.
-  if (!t->se.vb_blocked) {
-    t->delay.transition(now(), obs::TaskDelayState::kMigrating);
-  }
+  if (!t->se.vb_blocked) set_state(t, obs::TaskDelayState::kMigrating);
   kick(dst);
 }
 

@@ -258,6 +258,11 @@ class Kernel {
   void spin_exit_event(Task* t, SimWord* w);
   void setup_vb_check(Core& c, Task* t);
   void finish_action(Task* t, std::uint64_t result);
+  /// The one transition point of a started task's state: charges the
+  /// interval since the last transition to the state being left.
+  void set_state(Task* t, obs::TaskDelayState s) {
+    t->delay.transition(now(), s);
+  }
   /// Cancels the pending run event, accruing compute progress / spinner
   /// registration as appropriate.
   void stop_run(Core& c);
@@ -301,7 +306,6 @@ class Kernel {
   SimDuration wake_task_vb(Task* t);
   int select_wake_cpu(Task* t);
   void notify_spinners(SimWord* word);
-  void spinner_exit(Core& c, Task* t);
 
   // --- live telemetry ---
   void register_metrics();

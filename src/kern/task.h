@@ -19,27 +19,9 @@
 
 namespace eo::kern {
 
-enum class TaskState {
-  kNew,       ///< created, not yet started
-  kRunnable,  ///< on a runqueue (possibly VB-parked)
-  kRunning,   ///< currently on a core
-  kSleeping,  ///< off the runqueue (vanilla blocking or nanosleep)
-  kExited,
-};
-
-const char* to_string(TaskState s);
-
 struct TaskStats {
-  SimDuration cpu_time = 0;       ///< wall time on a core (incl. spinning)
-  SimDuration spin_time = 0;      ///< portion of cpu_time spent busy-waiting
-  SimDuration sleep_time = 0;     ///< time blocked (vanilla sleep or VB park)
+  SimDuration cpu_time = 0;  ///< wall time on a core (incl. spinning)
   std::uint64_t voluntary_switches = 0;
-  std::uint64_t involuntary_switches = 0;
-  std::uint64_t migrations = 0;
-  std::uint64_t wakeups = 0;
-  std::uint64_t futex_waits = 0;
-  std::uint64_t vb_parks = 0;
-  std::uint64_t bwd_descheduled = 0;
 };
 
 struct Task {
@@ -56,7 +38,6 @@ struct Task {
 
   int tid;
   std::string name;
-  TaskState state = TaskState::kNew;
   sched::SchedEntity se;
 
   /// Owning handle of the thread's top-level coroutine.
@@ -92,30 +73,38 @@ struct Task {
   /// link's vb flag is the blocking mode chosen at wait time.
   futex::WaiterLink waiter;
 
-  /// Block bookkeeping: the futex word or epoll fd the task waits on.
+  /// The futex word the task waits on (matched by futex_wake).
   SimWord* wait_word = nullptr;
-  int wait_epfd = -1;
-  /// Blocked via virtual blocking (still on the runqueue) vs vanilla sleep.
-  bool vb_waiting = false;
-  /// Time the current block started (for sleep_time accounting).
-  SimTime block_start = 0;
   /// Time the task last became runnable after an unblock; -1 when it has
   /// already run since. Feeds the wakeup-latency histogram and trace.
   SimTime runnable_since = -1;
 
   TaskStats stats;
 
-  /// Per-state delay accounting (sim-taskstats): every instant of the task's
-  /// lifetime is attributed to exactly one obs::TaskDelayState. Updated at
-  /// the kernel's state-transition points; the sampler cross-checks the
-  /// conservation invariant (state times sum to lifetime) on every tick.
+  /// The task's one state: not started, then exactly one
+  /// obs::TaskDelayState at every instant, then finished. Kernel::set_state
+  /// is the one transition point; it charges the interval since the last
+  /// transition to the state being left, so the per-state times sum to the
+  /// lifetime by construction.
   obs::TaskDelayAcct delay;
 
   /// Keeps the thread-function object (lambda captures) alive for the
   /// coroutine frame's lifetime.
   std::shared_ptr<void> keepalive;
 
-  bool exited() const { return state == TaskState::kExited; }
+  bool exited() const { return delay.finished(); }
+  /// On a core: scheduled in and not exited.
+  bool running() const {
+    return delay.alive() && delay.state() == obs::TaskDelayState::kOncpu;
+  }
+  /// Off every runqueue: futex- or epoll-blocked, or in a timed sleep.
+  bool blocked() const {
+    if (!delay.alive()) return false;
+    const obs::TaskDelayState s = delay.state();
+    return s == obs::TaskDelayState::kFutexBlocked ||
+           s == obs::TaskDelayState::kEpollBlocked ||
+           s == obs::TaskDelayState::kSleeping;
+  }
 };
 
 }  // namespace eo::kern

@@ -49,19 +49,15 @@ static_assert(std::is_trivially_copyable_v<CoreSample>,
 struct GlobalSample {
   std::int64_t live_tasks = 0;
   std::int32_t online_cores = 0;
-  /// Tasks in state Runnable or Running (on a runqueue or a core).
+  /// Live tasks on a runqueue or a core (VB-parked ones included).
   std::int64_t tasks_runnable = 0;
-  /// Tasks in state Sleeping (vanilla block or nanosleep).
+  /// Live tasks off every runqueue: futex/epoll-blocked or in a timed sleep.
   std::int64_t tasks_sleeping = 0;
   std::uint64_t context_switches = 0;
   std::uint64_t wakeups = 0;
   std::uint64_t migrations = 0;
   std::uint64_t vb_parks = 0;
   std::uint64_t vb_unparks = 0;
-  /// Tasks whose per-state delay accounting fails conservation (state times
-  /// must sum to lifetime) or disagrees with the kernel task state. Must be
-  /// zero; the watchdog reports any other value as a violation.
-  std::uint64_t taskstats_bad = 0;
 };
 
 /// One retained time-series point (the global half; per-core halves are

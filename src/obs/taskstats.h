@@ -4,14 +4,15 @@
 // `kern::Task` embeds a fixed-size `TaskDelayAcct` that attributes the task's
 // entire lifetime to exactly one `TaskDelayState` at every instant — on-CPU
 // execution, runqueue wait, futex/epoll blocking, timed sleep, VB parking,
-// BWD schedule-skip delay, and post-migration wait. Transitions happen at the
-// existing kernel state-change points (schedule/deschedule, futex/epoll
-// wait+wake, VB park/unpark, BWD timer fire, load-balance migration), so the
-// accounting is exact by construction: the integer state times always sum to
-// the kernel's wall-clock ground truth for the task. The sampler cross-checks
-// that conservation (plus kernel-state <-> delay-state consistency) on every
-// tick and the invariant watchdog records any discrepancy as a
-// `taskstats_conserved` violation.
+// BWD schedule-skip delay, and post-migration wait. That state is the task's
+// only state: the kernel sets it at one call, `Kernel::set_state`, at every
+// state-change point (schedule/deschedule, futex/epoll wait+wake, VB
+// park/unpark, BWD timer fire, load-balance migration), and that call charges
+// the interval since the previous transition to the state being left. Every
+// charge is `now - since` on the monotone simulation clock, so the integer
+// state times sum to the task's lifetime by construction and nothing re-checks
+// it at run time. Conservation is checked where it can fail: on outside input
+// (`validate_taskstats_value`) and in the kernel-run tests.
 //
 // On top of the raw accumulators:
 //  * `TaskstatsDoc` — a per-kernel snapshot (one record per task, creation
@@ -25,9 +26,9 @@
 //    `traffic::BlameBreakdown`).
 //
 // Everything is allocation-free on the simulation hot path (the accumulators
-// are plain arrays inside `Task`), deterministic (snapshots are pure
-// functions of the simulation), and compiles to no-ops under
-// CMake `-DEO_METRICS=OFF`.
+// are plain arrays inside `Task`) and deterministic (snapshots are pure
+// functions of the simulation). The state and lifecycle are kept in every
+// build; only the time arrays compile away under CMake `-DEO_METRICS=OFF`.
 #pragma once
 
 #include <cstddef>
@@ -119,43 +120,52 @@ struct TaskDelaySnapshot {
   }
 };
 
-/// The fixed-size accumulator embedded in `kern::Task`. All methods are
-/// no-ops when metrics are compiled out, so the kernel call sites need no
-/// `#ifdef`s and a `-DEO_METRICS=OFF` build pays nothing.
+/// A task's one state and its per-state time accumulator, embedded in
+/// `kern::Task`. The lifecycle (not started, started, finished) and the
+/// current state are kept in every build, because the kernel's scheduling
+/// checks read them. Only the time arrays compile away under
+/// `-DEO_METRICS=OFF`, where `lifetime` and `snapshot` read zero.
 class TaskDelayAcct {
  public:
-#if defined(EO_METRICS_ENABLED) && EO_METRICS_ENABLED
-  /// Begins accounting at task start (kernel `start_task`).
+  /// Begins the task's life in state `s` (kernel `start_task`).
   void start(SimTime now, TaskDelayState s) {
+#if defined(EO_METRICS_ENABLED) && EO_METRICS_ENABLED
     start_ = now;
     since_ = now;
+#else
+    (void)now;
+#endif
     state_ = s;
     started_ = true;
   }
 
   /// Charges the interval since the last transition to the current state and
   /// switches to `s`. Same-timestamp transitions are free (zero-duration).
+  /// A no-op before start and after finish.
   void transition(SimTime now, TaskDelayState s) {
-    if (!started_ || finished_) return;
-    times_[static_cast<std::size_t>(state_)] += now - since_;
-    since_ = now;
+    if (!alive()) return;
+    charge(now);
     state_ = s;
   }
 
-  /// Closes accounting at task exit. The final open interval is charged to
-  /// the state the task exited from.
+  /// Ends the task's life. The final open interval is charged to the state
+  /// the task exited from.
   void finish(SimTime now) {
-    if (!started_ || finished_) return;
-    times_[static_cast<std::size_t>(state_)] += now - since_;
-    since_ = now;
+    if (!alive()) return;
+    charge(now);
+#if defined(EO_METRICS_ENABLED) && EO_METRICS_ENABLED
     end_ = now;
+#endif
     finished_ = true;
   }
 
   bool started() const { return started_; }
   bool finished() const { return finished_; }
+  bool alive() const { return started_ && !finished_; }
+  /// The current state; meaningful only while `alive()`.
   TaskDelayState state() const { return state_; }
 
+#if defined(EO_METRICS_ENABLED) && EO_METRICS_ENABLED
   /// Ground-truth lifetime: start -> exit (or `now` while alive).
   SimDuration lifetime(SimTime now) const {
     if (!started_) return 0;
@@ -165,44 +175,30 @@ class TaskDelayAcct {
   TaskDelaySnapshot snapshot(SimTime now) const {
     TaskDelaySnapshot s;
     for (std::size_t i = 0; i < kNumTaskDelayStates; ++i) s.t[i] = times_[i];
-    if (started_ && !finished_) {
-      s.t[static_cast<std::size_t>(state_)] += now - since_;
-    }
+    if (alive()) s.t[static_cast<std::size_t>(state_)] += now - since_;
     return s;
   }
 
-  /// The conservation invariant: state times sum to the lifetime exactly,
-  /// every component is non-negative, and the accounting clock never runs
-  /// ahead of the kernel clock.
-  bool conserved(SimTime now) const {
-    if (!started_) return true;
-    if (since_ > now) return false;
-    const TaskDelaySnapshot s = snapshot(now);
-    for (std::size_t i = 0; i < kNumTaskDelayStates; ++i) {
-      if (s.t[i] < 0) return false;
-    }
-    return s.total() == lifetime(now);
+ private:
+  void charge(SimTime now) {
+    times_[static_cast<std::size_t>(state_)] += now - since_;
+    since_ = now;
   }
 
- private:
   SimDuration times_[kNumTaskDelayStates] = {};
   SimTime since_ = 0;
   SimTime start_ = 0;
   SimTime end_ = 0;
+#else
+  SimDuration lifetime(SimTime) const { return 0; }
+  TaskDelaySnapshot snapshot(SimTime) const { return {}; }
+
+ private:
+  void charge(SimTime) {}
+#endif
   TaskDelayState state_ = TaskDelayState::kRunnable;
   bool started_ = false;
   bool finished_ = false;
-#else
-  void start(SimTime, TaskDelayState) {}
-  void transition(SimTime, TaskDelayState) {}
-  void finish(SimTime) {}
-  bool started() const { return false; }
-  bool finished() const { return false; }
-  TaskDelayState state() const { return TaskDelayState::kRunnable; }
-  SimDuration lifetime(SimTime) const { return 0; }
-  TaskDelaySnapshot snapshot(SimTime) const { return {}; }
-  bool conserved(SimTime) const { return true; }
-#endif
 };
 
 // --- the eo-taskstats document -------------------------------------------

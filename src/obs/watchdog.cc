@@ -83,15 +83,6 @@ int InvariantWatchdog::check(SimTime ts, const CoreSample* cores, int n_cores,
                std::to_string(g.tasks_runnable) + " + sleeping " +
                std::to_string(g.tasks_sleeping));
   }
-  // Per-task delay accounting must conserve time: for every task, the state
-  // times sum exactly to the kernel-ground-truth lifetime, and the current
-  // delay state must be one the kernel task state permits. The kernel counts
-  // offenders while collecting the frame; any nonzero count is a violation.
-  if (g.taskstats_bad != 0) {
-    record(ts, "taskstats_conserved",
-           std::to_string(g.taskstats_bad) +
-               " task(s) fail delay-accounting conservation/consistency");
-  }
   if (g.vb_parks < g.vb_unparks) {
     record(ts, "vb_park_pairing",
            "vb_unparks " + std::to_string(g.vb_unparks) + " > vb_parks " +

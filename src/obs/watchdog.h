@@ -10,8 +10,6 @@
 //   * Σ per-core VB-parked == vb_parks − vb_unparks;
 //   * per-core sanity: 0 <= vb_parked <= rq_depth, schedulable == rq_depth −
 //     vb_parked, bwd_skipped never exceeds the queued entities;
-//   * per-task delay accounting conserves time (state times sum to the
-//     kernel-ground-truth lifetime; the frame carries the offender count);
 //   * monotonic counters (SchedStats and every registered counter) never
 //     regress between samples.
 //

@@ -43,7 +43,7 @@ void MemcachedSim::start() {
                        } else {
                          co_await env.compute(c.set_extra_cost + copy_cost);
                        }
-                       self->latencies_.record(env.now() - req.arrival);
+                       self->latencies_.add(env.now() - req.arrival);
                        ++self->completed_;
                      }
                      co_return;

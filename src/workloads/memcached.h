@@ -10,9 +10,9 @@
 #include <memory>
 #include <vector>
 
+#include "common/histogram.h"
 #include "common/units.h"
 #include "kern/kernel.h"
-#include "metrics/latency_recorder.h"
 #include "runtime/mutex.h"
 
 namespace eo::workloads {
@@ -54,7 +54,8 @@ class MemcachedSim {
 
   int epoll_fd() const { return epfd_; }
   kern::Kernel& kernel() { return k_; }
-  metrics::LatencyRecorder& latencies() { return latencies_; }
+  /// Request latencies (ns) recorded since the last reset_measurement().
+  const Histogram& latencies() const { return latencies_; }
   const MemcachedConfig& config() const { return cfg_; }
   std::uint64_t completed() const { return completed_; }
 
@@ -68,7 +69,7 @@ class MemcachedSim {
   MemcachedConfig cfg_;
   int epfd_ = -1;
   std::vector<McRequest> requests_;
-  metrics::LatencyRecorder latencies_;
+  Histogram latencies_;
   std::uint64_t completed_ = 0;
   std::unique_ptr<runtime::SimMutex> table_mutex_;
   bool stopping_ = false;

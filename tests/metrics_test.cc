@@ -1,42 +1,14 @@
-// Tests for the metrics layer: latency recorder, table printer, and the
-// experiment harness.
+// Tests for the metrics layer: table printer and the experiment harness.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "metrics/experiment.h"
-#include "metrics/latency_recorder.h"
 #include "metrics/table_printer.h"
 #include "runtime/sim_thread.h"
 
 namespace eo::metrics {
 namespace {
-
-TEST(LatencyRecorder, BasicStats) {
-  LatencyRecorder r;
-  for (int i = 1; i <= 100; ++i) r.record(i * 1000);  // 1..100 us
-  EXPECT_EQ(r.count(), 100u);
-  EXPECT_NEAR(r.mean_us(), 50.5, 1.0);
-  EXPECT_NEAR(r.p50_us(), 50.0, 3.0);
-  EXPECT_NEAR(r.p99_us(), 99.0, 4.0);
-  EXPECT_NEAR(r.max_us(), 100.0, 4.0);
-}
-
-TEST(LatencyRecorder, Throughput) {
-  LatencyRecorder r;
-  for (int i = 0; i < 500; ++i) r.record(10_us);
-  EXPECT_DOUBLE_EQ(r.throughput(1_s), 500.0);
-  EXPECT_DOUBLE_EQ(r.throughput(500_ms), 1000.0);
-  EXPECT_DOUBLE_EQ(r.throughput(0), 0.0);
-}
-
-TEST(LatencyRecorder, ClearResets) {
-  LatencyRecorder r;
-  r.record(5_us);
-  r.clear();
-  EXPECT_EQ(r.count(), 0u);
-  EXPECT_EQ(r.p99_us(), 0.0);
-}
 
 TEST(TablePrinter, AlignedOutput) {
   std::ostringstream os;
@@ -73,15 +45,6 @@ TEST(TablePrinter, CsvEscapesPerRfc4180) {
             "name,note\n"
             "\"a,b\",plain\n"
             "\"say \"\"hi\"\"\",\"line1\nline2\"\n");
-}
-
-TEST(LatencyRecorder, P999Us) {
-  LatencyRecorder r;
-  for (int i = 0; i < 999; ++i) r.record(10_us);
-  r.record(1000_us);
-  r.record(1000_us);
-  EXPECT_NEAR(r.p99_us(), 10.0, 1.0);
-  EXPECT_NEAR(r.p999_us(), 1000.0, 1000.0 * 0.04);
 }
 
 TEST(TablePrinter, NumberFormatting) {

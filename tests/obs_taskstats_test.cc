@@ -1,9 +1,11 @@
 // Per-task delay accounting (sim-taskstats) contracts:
 //  * arithmetic — `TaskDelayAcct` charges every interval to exactly one
 //    state, so the state times always sum to the task's lifetime (the
-//    conservation invariant the watchdog enforces at runtime);
+//    conservation invariant, which holds by construction at run time and is
+//    checked here);
 //  * coverage — real kernel runs land time in the right states (on-CPU,
-//    rq wait, futex/epoll blocking, timed sleep, VB parking);
+//    rq wait, futex/epoll blocking, timed sleep, VB parking, BWD skip delay,
+//    post-migration wait);
 //  * hot-path cost — a warm kernel accounts without touching the heap
 //    (same global-new harness as kern_hotpath_alloc_test.cc);
 //  * export — the `eo-taskstats` JSON section validates, and the validator
@@ -19,6 +21,7 @@
 #include <new>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/json.h"
 #include "common/units.h"
@@ -58,6 +61,16 @@ SimDuration state_time(const TaskstatsRecord& r, TaskDelayState s) {
   return r.times[s];
 }
 
+/// The conservation invariant: every state time is non-negative and the
+/// state times sum exactly to the lifetime.
+bool conserved(const TaskDelayAcct& a, SimTime now) {
+  const TaskDelaySnapshot s = a.snapshot(now);
+  for (const SimDuration t : s.t) {
+    if (t < 0) return false;
+  }
+  return s.total() == a.lifetime(now);
+}
+
 /// First record whose task name matches, or nullptr.
 const TaskstatsRecord* find_task(const TaskstatsDoc& doc,
                                  const std::string& name) {
@@ -86,7 +99,7 @@ TEST(TaskDelayAcct, ChargesEveryIntervalToExactlyOneState) {
   EXPECT_EQ(s[TaskDelayState::kFutexBlocked], 0);
   EXPECT_EQ(s[TaskDelayState::kVbParked], 150);
   EXPECT_EQ(s.total(), a.lifetime(999));
-  EXPECT_TRUE(a.conserved(999));
+  EXPECT_TRUE(conserved(a, 999));
 }
 
 TEST(TaskDelayAcct, LiveSnapshotChargesOpenIntervalToCurrentState) {
@@ -99,7 +112,7 @@ TEST(TaskDelayAcct, LiveSnapshotChargesOpenIntervalToCurrentState) {
   EXPECT_EQ(s[TaskDelayState::kRunnable], 10);
   EXPECT_EQ(s[TaskDelayState::kOncpu], 60);
   EXPECT_EQ(s.total(), a.lifetime(70));
-  EXPECT_TRUE(a.conserved(70));
+  EXPECT_TRUE(conserved(a, 70));
   // The snapshot is a pure read: taking it twice changes nothing.
   const TaskDelaySnapshot s2 = a.snapshot(70);
   EXPECT_EQ(s2.total(), s.total());
@@ -110,7 +123,7 @@ TEST(TaskDelayAcct, IgnoresUseBeforeStartAndAfterFinish) {
   TaskDelayAcct a;
   a.transition(50, TaskDelayState::kOncpu);  // before start: no-op
   EXPECT_FALSE(a.started());
-  EXPECT_TRUE(a.conserved(50));
+  EXPECT_TRUE(conserved(a, 50));
   EXPECT_EQ(a.lifetime(50), 0);
   a.start(100, TaskDelayState::kRunnable);
   a.finish(130);
@@ -118,7 +131,7 @@ TEST(TaskDelayAcct, IgnoresUseBeforeStartAndAfterFinish) {
   a.finish(300);                              // double finish: no-op
   EXPECT_EQ(a.lifetime(999), 30);
   EXPECT_EQ(a.snapshot(999)[TaskDelayState::kRunnable], 30);
-  EXPECT_TRUE(a.conserved(999));
+  EXPECT_TRUE(conserved(a, 999));
 }
 
 TEST(TaskDelaySnapshot, DeltaIsComponentWise) {
@@ -270,6 +283,85 @@ TEST(TaskstatsKernel, VbParkingIsAccountedAsVbParkedNotBlocked) {
   EXPECT_EQ(state_time(*waiter, TaskDelayState::kFutexBlocked), 0);
 }
 
+/// Every task conserves time and spent some of it in `state`; the watchdog
+/// sampled the run and found nothing.
+void expect_state_reached(const kern::Kernel& k,
+                          const std::vector<kern::Task*>& tasks,
+                          TaskDelayState state) {
+  for (const kern::Task* t : tasks) {
+    const TaskDelaySnapshot s = t->delay.snapshot(k.now());
+    EXPECT_TRUE(t->exited()) << t->name << "/" << t->tid;
+    EXPECT_EQ(s.total(), t->delay.lifetime(k.now()))
+        << t->name << "/" << t->tid;
+    EXPECT_GT(s[state], 0) << t->name << "/" << t->tid << " never "
+                           << to_string(state);
+  }
+  const MetricsDoc m = k.snapshot_metrics();
+  EXPECT_GT(m.watchdog_checks, 0u);
+  EXPECT_EQ(m.watchdog_violations, 0u);
+}
+
+TEST(TaskstatsKernel, BwdDetectionIsAccountedAsBwdSkipDelayed) {
+  if (!kTaskstatsEnabled) GTEST_SKIP() << "metrics compiled out";
+  kern::KernelConfig c;
+  c.topo = hw::Topology::make_cores(2, 1);
+  c.features.bwd = true;
+  c.metrics.enabled = true;
+  kern::Kernel k(c);
+  // Four spinners per core wait on a flag nobody sets, so each one spins on
+  // a core while others are runnable and BWD deschedules and skips it.
+  kern::SimWord* flag = k.alloc_word(0);
+  std::vector<kern::Task*> tasks;
+  for (int i = 0; i < 8; ++i) {
+    tasks.push_back(runtime::spawn(
+        k, "spinner", [flag](runtime::Env env) -> runtime::SimThread {
+          for (int r = 0; r < 4; ++r) {
+            co_await env.spin_until_timeout(flag, kern::SpinPredicate::eq(1),
+                                            /*site=*/7, 1_ms);
+            co_await env.compute(20_us);
+          }
+          co_return;
+        }));
+  }
+  ASSERT_TRUE(k.run_to_exit(10_s));
+  EXPECT_GT(k.stats().bwd_descheduled, 0u);
+  expect_state_reached(k, tasks, TaskDelayState::kBwdSkipDelayed);
+}
+
+TEST(TaskstatsKernel, BalancePullsAndOffliningAreAccountedAsMigrating) {
+  if (!kTaskstatsEnabled) GTEST_SKIP() << "metrics compiled out";
+  kern::KernelConfig c;
+  c.topo = hw::Topology::make_cores(2, 1);
+  c.metrics.enabled = true;
+  kern::Kernel k(c);
+  // All four workers start on core 1. The idle core 0's load balancer
+  // (every 4 ms) pulls some of them over; offlining core 1 for good at 10 ms
+  // evicts the rest to core 0. Either way each worker waits on a new core
+  // before it first runs there, and each path is the only move of some
+  // worker.
+  runtime::SpawnOpts on_core1;
+  on_core1.cpu = 1;
+  std::vector<kern::Task*> tasks;
+  for (int i = 0; i < 4; ++i) {
+    tasks.push_back(runtime::spawn(
+        k, "worker",
+        [](runtime::Env env) -> runtime::SimThread {
+          for (int r = 0; r < 400; ++r) co_await env.compute(50_us);
+          co_return;
+        },
+        on_core1));
+  }
+  k.run_until(10_ms);
+  k.set_online_cores(1);
+  ASSERT_TRUE(k.run_to_exit(10_s));
+  std::uint64_t pulls = 0;
+  for (const auto& cv : k.snapshot_metrics().counters) {
+    if (cv.name == "sched.balance.pulls") pulls = cv.value;
+  }
+  EXPECT_GT(pulls, 0u) << "no load-balance pull happened";
+  expect_state_reached(k, tasks, TaskDelayState::kMigrating);
+}
+
 TEST(TaskstatsKernel, ExperimentRunExportsConservedDocWatchdogClean) {
   if (!kTaskstatsEnabled) GTEST_SKIP() << "metrics compiled out";
   const auto& spec = workloads::find_benchmark("cg");
@@ -291,7 +383,6 @@ TEST(TaskstatsKernel, ExperimentRunExportsConservedDocWatchdogClean) {
     EXPECT_TRUE(t.finished);
     EXPECT_EQ(t.times.total(), t.lifetime) << t.name << "/" << t.tid;
   }
-  // The sampler cross-checked conservation + state consistency every tick.
   ASSERT_NE(r.metrics, nullptr);
   EXPECT_GT(r.metrics->watchdog_checks, 0u);
   EXPECT_EQ(r.metrics->watchdog_violations, 0u);

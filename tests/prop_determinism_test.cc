@@ -75,7 +75,7 @@ TEST(Determinism, MemcachedRunsReproduce) {
     client.start();
     k.run_until(150_ms);
     const auto done = server.completed();
-    const auto p99 = server.latencies().p99_us();
+    const double p99 = to_us(server.latencies().p99());
     server.stop();
     k.run_to_exit(k.now() + 1_s);
     return std::make_pair(done, p99);

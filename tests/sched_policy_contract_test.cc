@@ -288,7 +288,7 @@ TEST_P(PolicyContractTest, OversubscribedRunDeterministicAndWatchdogClean) {
 // Every policy must keep the per-task delay accounting conserved: whatever
 // its dispatch order, VB parking, or skip handling does, each task's state
 // times must sum to its kernel-ground-truth lifetime, and the sampler's
-// per-tick conservation + consistency cross-check must stay violation-free.
+// watchdog must stay violation-free.
 TEST_P(PolicyContractTest, TaskstatsConserved) {
   if (!obs::kTaskstatsEnabled) GTEST_SKIP() << "metrics compiled out";
   const auto& spec = workloads::find_benchmark("cg");

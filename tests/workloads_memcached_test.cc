@@ -25,8 +25,8 @@ TEST(Memcached, ProcessesAllRequests) {
   }
   k.run_until(200_ms);
   EXPECT_EQ(server.completed(), 200u);
-  EXPECT_EQ(server.latencies().count(), 200u);
-  EXPECT_GT(server.latencies().mean_us(), 0.0);
+  EXPECT_EQ(server.latencies().total_count(), 200u);
+  EXPECT_GT(server.latencies().mean(), 0.0);
   server.stop();
   EXPECT_TRUE(k.run_to_exit(k.now() + 1_s));
 }
@@ -48,7 +48,7 @@ TEST(Memcached, LatencyGrowsWithLoad) {
     MutilateClient client(server, cc);
     client.start();
     k.run_until(350_ms);
-    const double p99 = server.latencies().p99_us();
+    const double p99 = to_us(server.latencies().p99());
     server.stop();
     k.run_to_exit(k.now() + 1_s);
     return p99;
@@ -75,7 +75,7 @@ TEST(Memcached, ResetMeasurementDiscardsWarmup) {
   EXPECT_EQ(server.completed(), 50u);
   server.reset_measurement();
   EXPECT_EQ(server.completed(), 0u);
-  EXPECT_EQ(server.latencies().count(), 0u);
+  EXPECT_EQ(server.latencies().total_count(), 0u);
   server.stop();
   k.run_to_exit(k.now() + 1_s);
 }
