@@ -163,7 +163,7 @@ inline bool export_taskstats_folded(
 }
 
 /// Applies the --sched flag to a RunConfig, so every kernel the bench builds
-/// runs under the selected policy plugin.
+/// runs under the selected scheduler discipline.
 inline void apply_sched(const Cli& cli, metrics::RunConfig* cfg) {
   cfg->sched = cli.sched;
 }

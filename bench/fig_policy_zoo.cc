@@ -1,11 +1,12 @@
 // Policy zoo: the oversubscription experiment of Figure 9 repeated under
-// every registered scheduler policy (cfs, fifo, rr, pcfs), vanilla and
-// optimized. The zoo exists to exercise the SchedPolicy plugin boundary:
-// every policy must run the same 32-thread/8-core blocking workloads to
-// completion, keep VB parking and BWD skipping working (optimized column),
-// and stay watchdog-clean under --metrics. Expected: cfs and pcfs behave
-// near-identically (the predictive bias only breaks vruntime ties); fifo and
-// rr finish the run but with visibly worse balance under oversubscription.
+// every registered scheduler discipline (cfs, fifo, rr, pcfs), vanilla and
+// optimized. The zoo exercises every row of the policy table in
+// src/sched/policy.cc: each discipline must run the same 32-thread/8-core
+// blocking workloads to completion, keep VB parking and BWD skipping
+// working (optimized column), and stay watchdog-clean under --metrics.
+// Expected: cfs and pcfs behave near-identically (the predictive bias only
+// breaks vruntime ties); fifo and rr finish the run but with visibly worse
+// balance under oversubscription.
 #include <iostream>
 
 #include "bench_util.h"

@@ -46,7 +46,7 @@ class Cli {
   std::string filter;
   /// Print the cell ids and exit without running.
   bool list = false;
-  /// Scheduler policy plugin for every simulated kernel the bench builds
+  /// Scheduler discipline for every simulated kernel the bench builds
   /// (one of sched::policy_names()).
   std::string sched = "cfs";
   std::string trace_path;  ///< empty = tracing off

@@ -43,9 +43,8 @@ Kernel::Kernel(KernelConfig cfg)
       << "spin_iteration_ns must be finite and positive, got "
       << ip.spin_iteration_ns;
   const int n = cfg_.topo.n_cores();
-  policy_ =
-      sched::make_policy(cfg_.policy, &cfg_.topo, &cfg_.cfs,
-                         &cfg_.policy_params);
+  const sched::PolicyParams params;  // read only while the policy is built
+  policy_ = sched::make_policy(cfg_.policy, &cfg_.topo, &cfg_.cfs, &params);
   EO_CHECK(policy_ != nullptr)
       << "unknown scheduler policy '" << cfg_.policy << "'";
   cores_.reserve(static_cast<size_t>(n));

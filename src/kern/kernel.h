@@ -1,11 +1,11 @@
 // The simulated OS kernel.
 //
-// Owns the event engine, the cores and their scheduler policy (a pluggable
-// sched::SchedPolicy; CFS is the default plugin), the futex and epoll
-// subsystems, the per-core hardware monitoring state (LBR/PMC), and the
-// paper's two mechanisms (virtual blocking and busy-waiting detection). It
-// interprets the Actions issued by task coroutines, advancing simulated time
-// through engine events.
+// Owns the event engine, the cores and their scheduler (one
+// sched::SchedPolicy running the discipline that KernelConfig::policy names;
+// CFS by default), the futex and epoll subsystems, the per-core hardware
+// monitoring state (LBR/PMC), and the paper's two mechanisms (virtual
+// blocking and busy-waiting detection). It interprets the Actions issued by
+// task coroutines, advancing simulated time through engine events.
 //
 // Threading model: one Kernel instance is strictly single-(host-)threaded.
 // Benches run many Kernels concurrently, one per host thread.
@@ -49,11 +49,9 @@ namespace eo::kern {
 struct KernelConfig {
   hw::Topology topo = hw::Topology::make_cores(8, 1);
   sched::CfsParams cfs;
-  /// Scheduler policy plugin: one of sched::policy_names() ("cfs", "fifo",
+  /// Scheduler discipline: one of sched::policy_names() ("cfs", "fifo",
   /// "rr", "pcfs"); see src/sched/README.md.
   std::string policy = "cfs";
-  /// Tunables for the non-CFS policies (ignored by "cfs").
-  sched::PolicyParams policy_params;
   core::Features features;
   core::CostModel costs;
   hw::CacheParams cache;
@@ -135,10 +133,6 @@ class Kernel {
   /// Brings cores [0, n) online and the rest offline, migrating tasks off
   /// offlined cores (models runtime CPU re-provisioning of a container).
   void set_online_cores(int n);
-
-  // --- scheduling policy ---
-  sched::SchedPolicy& policy() { return *policy_; }
-  const sched::SchedPolicy& policy() const { return *policy_; }
 
   // --- tracing ---
   trace::Tracer& tracer() { return tracer_; }
@@ -326,8 +320,8 @@ class Kernel {
   hw::PleModel ple_;
   core::VbPolicy vb_policy_;
   core::BwdDetector bwd_;
-  /// The pluggable scheduler (built from cfg_.policy); owns every per-core
-  /// queue and all scheduling decisions. The kernel applies the mechanism.
+  /// The scheduler (built from cfg_.policy); owns every per-core queue and
+  /// all scheduling decisions. The kernel applies the mechanism.
   std::unique_ptr<sched::SchedPolicy> policy_;
   futex::FutexTable futex_;
   epollsim::EpollTable epolls_;

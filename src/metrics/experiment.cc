@@ -12,7 +12,6 @@ kern::KernelConfig make_kernel_config(const RunConfig& cfg) {
   kc.features = cfg.features;
   kc.costs = cfg.costs;
   kc.policy = cfg.sched;
-  kc.policy_params = cfg.sched_params;
   kc.seed = cfg.seed;
   kc.ref_footprint = cfg.ref_footprint;
   kc.trace = cfg.trace;

@@ -27,10 +27,8 @@ struct RunConfig {
   bool smt = false;
   core::Features features;
   core::CostModel costs;
-  /// Scheduler policy plugin (one of sched::policy_names()).
+  /// Scheduler discipline (one of sched::policy_names()).
   std::string sched = "cfs";
-  /// Tunables consumed by the non-CFS policies (quantum, history depth...).
-  sched::PolicyParams sched_params;
   std::uint64_t seed = 1;
   /// Simulated-time budget; a workload not finishing by then is reported
   /// as incomplete with exec_time == deadline.

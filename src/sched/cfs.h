@@ -26,8 +26,8 @@ struct CfsParams {
   /// Imbalance (in runnable tasks) required before pulling.
   int balance_imbalance = 2;
 };
-// The effective tunables are exported as gauges (the /proc/sys/kernel
-// sched_* analogue) by each policy's SchedPolicy::export_tunables, under a
-// "sched.<policy>." prefix.
+// SchedPolicy::export_tunables exports the effective tunables as gauges (the
+// /proc/sys/kernel sched_* analogue) under a "sched.<policy>." prefix; which
+// ones each discipline exports is listed in the policy table in policy.cc.
 
 }  // namespace eo::sched

@@ -20,10 +20,19 @@
 #include "hw/topology.h"
 #include "obs/metrics.h"
 #include "sched/cfs.h"
-#include "sched/policy.h"
 #include "sched/runqueue.h"
 
 namespace eo::sched {
+
+/// What a balance pass decided to migrate. The balancer decides; the kernel
+/// applies the mechanism (dequeue/enqueue via place_migrated, penalties,
+/// stats).
+struct BalanceDecision {
+  int src_cpu = -1;
+  int dst_cpu = -1;
+  SchedEntity* victim = nullptr;
+  bool cross_socket = false;
+};
 
 class LoadBalancer {
  public:
@@ -31,7 +40,7 @@ class LoadBalancer {
       : topo_(topo), params_(params) {}
 
   /// Wires the metric counters (balance attempts and decided pulls) from
-  /// the policy's registration hooks.
+  /// the scheduler's registration hooks.
   void attach(const ObsHooks& hooks) {
     m_attempts_ = hooks.balance_attempts;
     m_pulls_ = hooks.balance_pulls;

@@ -1,4 +1,4 @@
-// Per-core runqueue engine shared by the policy zoo.
+// Per-core runqueue: the queue every scheduler discipline runs on.
 //
 // Holds runnable entities in a red-black tree keyed by a sort key (vruntime
 // under CFS; a monotonic arrival sequence under FIFO disciplines), with the
@@ -12,9 +12,10 @@
 //  * BWD-skipped entities are passed over until every other entity on the
 //    queue has been picked at least once since the skip was set.
 //
-// A QueueTuning selects the queue discipline (see policy_zoo.h); the default
-// tuning is exactly CFS. A PickBias lets a policy overrule the fair choice
-// within its own constraints (PredictiveCfsPolicy's tie-break).
+// A QueueTuning selects the queue discipline (one per row of the policy
+// table in policy.cc); the default tuning is exactly CFS. A PickBias lets a
+// policy overrule the fair choice within its own constraints (pcfs's
+// pick-history tie-break).
 #pragma once
 
 #include <cstdint>
@@ -24,7 +25,6 @@
 #include "obs/metrics.h"
 #include "sched/cfs.h"
 #include "sched/entity.h"
-#include "sched/policy.h"
 #include "sched/rbtree.h"
 #include "trace/trace.h"
 
@@ -32,8 +32,22 @@ namespace eo::sched {
 
 class Runqueue;
 
+/// Everything the scheduler may report into, handed over in one registration
+/// call (SchedPolicy::attach, which passes it on to every Runqueue and the
+/// LoadBalancer) instead of per-subsystem setter pairs. All counters are
+/// kernel-wide cells (one kernel is single-host-threaded, so plain adds are
+/// safe); any member may be left default/null.
+struct ObsHooks {
+  trace::Tracer* tracer = nullptr;
+  obs::Counter rq_enqueues;
+  obs::Counter rq_dequeues;
+  obs::Counter rq_picks;
+  obs::Counter balance_attempts;
+  obs::Counter balance_pulls;
+};
+
 /// Queue-discipline knobs. The defaults reproduce CFS exactly; FIFO-family
-/// policies flip them (see policy_zoo.h).
+/// policies flip them (see the policy table in policy.cc).
 struct QueueTuning {
   /// Sort runnable entities by a monotonic per-queue arrival sequence
   /// instead of vruntime (FIFO disciplines). VB parking keeps its inflated

@@ -1,9 +1,10 @@
-// Policy-contract conformance suite: every policy registered in
-// sched::policy_names() must uphold the SchedPolicy interface contracts
-// documented in src/sched/policy.h — the VB-park and BWD-skip mechanism
-// contracts, queue bookkeeping, migration teardown, tunable export — and
-// run an oversubscribed kernel deterministically and watchdog-clean. A new
-// policy added to the registry is picked up here automatically.
+// Policy-contract conformance suite: every discipline registered in
+// sched::policy_names() must uphold the SchedPolicy contracts documented in
+// src/sched/policy.h — the VB-park and BWD-skip mechanism contracts, queue
+// bookkeeping, migration teardown, tunable export — and run an
+// oversubscribed kernel deterministically and watchdog-clean. A new row in
+// the policy table is picked up here automatically; kDisciplines below must
+// gain a matching row describing what the new name selects.
 #include "sched/policy.h"
 
 #include <gtest/gtest.h>
@@ -21,6 +22,45 @@
 
 namespace eo::sched {
 namespace {
+
+/// What each registered name selects, checked through make_policy.
+struct Discipline {
+  const char* name;
+  /// slice_for with two runnable entities; 0 means the CFS formula.
+  SimDuration slice;
+  /// Does a wakee far behind the running entity preempt it?
+  bool wakeup_preempts;
+  /// After put_prev, is the same entity picked again ahead of its peers?
+  bool repicks_after_put_prev;
+  /// Does the pick history bias vruntime ties?
+  bool predicts;
+  /// Every exported gauge, in registration order, without "sched.<name>.".
+  std::vector<std::string> gauges;
+};
+
+const std::vector<Discipline>& disciplines() {
+  static const std::vector<Discipline> kDisciplines = {
+      {"cfs", 0, true, false, false,
+       {"sched_latency_ns", "min_granularity_ns", "wakeup_granularity_ns",
+        "balance_interval_ns", "balance_imbalance"}},
+      {"fifo", 100_ms, false, true, false,
+       {"slice_ns", "balance_interval_ns", "balance_imbalance"}},
+      {"rr", 1_ms, false, false, false,
+       {"quantum_ns", "balance_interval_ns", "balance_imbalance"}},
+      {"pcfs", 0, true, false, true,
+       {"sched_latency_ns", "min_granularity_ns", "wakeup_granularity_ns",
+        "history", "tie_window_ns", "balance_interval_ns",
+        "balance_imbalance"}},
+  };
+  return kDisciplines;
+}
+
+const Discipline* find_discipline(const std::string& name) {
+  for (const Discipline& d : disciplines()) {
+    if (name == d.name) return &d;
+  }
+  return nullptr;
+}
 
 class PolicyContractTest : public ::testing::TestWithParam<std::string> {
  protected:
@@ -248,15 +288,70 @@ TEST_P(PolicyContractTest, BalancePullsTowardIdleCore) {
 }
 
 TEST_P(PolicyContractTest, ExportTunablesUnderPolicyPrefix) {
+  const Discipline* d = find_discipline(GetParam());
+  ASSERT_NE(d, nullptr) << "no kDisciplines row for " << GetParam();
   obs::MetricRegistry reg;
   policy_->export_tunables(&reg);
-  const auto gauges = reg.snapshot_gauges();
-  ASSERT_GT(gauges.size(), 0u) << "policy exports no tunables";
   const std::string prefix = "sched." + GetParam() + ".";
-  for (const auto& g : gauges) {
-    EXPECT_EQ(g.name.compare(0, prefix.size(), prefix), 0)
-        << "tunable '" << g.name << "' not under '" << prefix << "'";
+  std::vector<std::string> want;
+  for (const std::string& g : d->gauges) want.push_back(prefix + g);
+  std::vector<std::string> got;
+  for (const auto& g : reg.snapshot_gauges()) got.push_back(g.name);
+  EXPECT_EQ(got, want);
+}
+
+// Each name selects its own discipline: slice length, wakeup preemption,
+// put_prev rotation and the predictive tie-break all differ between the
+// rows of the policy table, so two rows swapping their tunings (or pcfs
+// never learning a pick) fails here even where the contracts above hold.
+TEST_P(PolicyContractTest, NameSelectsItsDiscipline) {
+  const Discipline* d = find_discipline(GetParam());
+  ASSERT_NE(d, nullptr) << "no kDisciplines row for " << GetParam();
+
+  // Slice with two runnable entities.
+  auto* a = make(0);
+  auto* b = make(0);
+  policy_->enqueue(0, a, false);
+  policy_->enqueue(0, b, false);
+  const SimDuration cfs_slice =
+      std::max(cfs_.sched_latency / 2, cfs_.min_granularity);
+  EXPECT_EQ(policy_->slice_for(0, a), d->slice > 0 ? d->slice : cfs_slice);
+
+  // put_prev: the entity just run either keeps the head or rotates behind b.
+  SchedEntity* first = policy_->pick_next(0);
+  ASSERT_EQ(first, a);
+  policy_->account(0, 1_ms);
+  policy_->put_prev(0, first);
+  SchedEntity* second = policy_->pick_next(0);
+  EXPECT_EQ(second, d->repicks_after_put_prev ? a : b);
+  policy_->put_prev(0, second);
+  policy_->dequeue(0, a);
+  policy_->dequeue(0, b);
+
+  // A wakee far behind the running entity.
+  auto* hog = make(0);
+  policy_->enqueue(1, hog, false);
+  ASSERT_EQ(policy_->pick_next(1), hog);
+  policy_->account(1, 10_ms);
+  EXPECT_EQ(policy_->should_preempt(1, make(0)), d->wakeup_preempts);
+  policy_->put_prev(1, hog);
+
+  // Teach core 2 the transition x→y with picks x, y, x, each run alone.
+  auto* x = make(0);
+  auto* y = make(0);
+  for (SchedEntity* e : {x, y, x}) {
+    policy_->enqueue(2, e, false);
+    ASSERT_EQ(policy_->pick_next(2), e);
+    policy_->put_prev(2, e);
+    policy_->dequeue(2, e);
   }
+  // z is the fair (and first-arrived) choice; y trails it by less than the
+  // tie window, and the history says y follows x.
+  auto* z = make(100);
+  y->vruntime = 100 + params_.predict_tie_window / 2;
+  policy_->enqueue(2, z, false);
+  policy_->enqueue(2, y, false);
+  EXPECT_EQ(policy_->pick_next(2), d->predicts ? y : z);
 }
 
 // Kernel-level: an oversubscribed blocking workload (16 threads on 4 cores,
@@ -323,7 +418,7 @@ TEST_P(PolicyContractTest, ParallelHostsMatchSequentialRun) {
   // The fleet engine may fan its per-host kernels out onto host threads
   // (FleetConfig.jobs); every policy must produce bit-identical fleet
   // results either way — per-host kernels share nothing, so any divergence
-  // means hidden cross-kernel state inside the policy plugin.
+  // means hidden cross-kernel state inside the scheduler.
   auto run = [&](std::size_t jobs) {
     traffic::FleetConfig fc;
     fc.n_hosts = 3;
