@@ -5,10 +5,10 @@
 // pass — computing, spinning, blocking — it co_awaits an awaitable that
 // stores one of these Action values on its Task and suspends; the kernel
 // interprets the action, advances simulated time, and eventually resumes the
-// coroutine with a result. Cheap operations (atomic instructions) are
-// interpreted synchronously in the kernel's resume loop and only accumulate
-// cost; scheduling-relevant operations (compute, spin, futex, epoll) end the
-// resume loop and are driven by events.
+// coroutine with a result. Work that takes no simulated time (atomic
+// instructions, memory-profile switches) is an InlineAction instead: the
+// awaitable runs it through Kernel::perform_inline without suspending, and
+// its cost only accumulates on the task until the next scheduling boundary.
 #pragma once
 
 #include <cstdint>
@@ -193,10 +193,14 @@ struct SetMemProfileAction {
 /// Thread termination (issued by the coroutine's final suspend).
 struct ExitAction {};
 
+/// Work that lets simulated time pass; stored on the Task while the kernel
+/// interprets it.
 using Action =
-    std::variant<std::monostate, ComputeAction, AtomicAction, SpinUntilAction,
+    std::variant<std::monostate, ComputeAction, SpinUntilAction,
                  FutexWaitAction, FutexWakeAction, EpollWaitAction,
-                 EpollPostAction, YieldAction, SleepAction,
-                 SetMemProfileAction, ExitAction>;
+                 EpollPostAction, YieldAction, SleepAction, ExitAction>;
+
+/// Work that takes no simulated time; run in place by Kernel::perform_inline.
+using InlineAction = std::variant<AtomicAction, SetMemProfileAction>;
 
 }  // namespace eo::kern

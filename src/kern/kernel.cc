@@ -614,16 +614,6 @@ void Kernel::resume_step(Core& c, Task* t) {
     t->resume_point.resume();
     g_current_task = nullptr;
 
-    if (auto* a = std::get_if<AtomicAction>(&t->pending)) {
-      perform_atomic(c, t, *a);
-      t->pending = std::monostate{};
-      continue;
-    }
-    if (auto* a = std::get_if<SetMemProfileAction>(&t->pending)) {
-      t->mem = a->profile;
-      t->pending = std::monostate{};
-      continue;
-    }
     if (auto* a = std::get_if<ComputeAction>(&t->pending)) {
       // Convert work duration to wall time once, using the task's memory
       // profile at issue time.
@@ -770,10 +760,9 @@ void Kernel::setup_spin(Core& c, Task* t, SpinUntilAction& a) {
   if (a.deadline >= 0) sl = std::min(sl, a.deadline - now());
   set_segment(c, hw::SegmentKind::kSpin, a.site, a.uses_pause);
   a.exit_scheduled = false;
-  auto& spinners = a.word->running_spinners_;
-  if (std::find(spinners.begin(), spinners.end(), t) == spinners.end()) {
-    spinners.push_back(t);
-  }
+  // Not already listed: every path that stops the spin on this core
+  // (stop_run, spin_exit_event, the timeout) removes the task.
+  a.word->running_spinners_.push_back(t);
   c.run_start = now();
   c.run_speed = 1.0;
   c.run_event =
@@ -814,10 +803,8 @@ void Kernel::spin_slice_event(Core& c) {
 }
 
 void Kernel::notify_spinners(SimWord* word) {
-  if (word->running_spinners_.empty()) return;
-  // Copy: exits mutate the list.
-  const auto spinners = word->running_spinners_;
-  for (Task* t : spinners) {
+  // Exits only get scheduled here; spin_exit_event leaves the list later.
+  for (Task* t : word->running_spinners_) {
     auto* a = std::get_if<SpinUntilAction>(&t->pending);
     if (a == nullptr || a->exit_scheduled) continue;
     if (a->pred(word->value_)) {
@@ -959,11 +946,17 @@ void Kernel::do_preempt(Core& c) {
 }
 
 // ---------------------------------------------------------------------------
-// Atomic operations
+// Inline actions: atomics and memory-profile switches
 // ---------------------------------------------------------------------------
 
-void Kernel::perform_atomic(Core& c, Task* t, const AtomicAction& a) {
-  (void)c;
+void Kernel::perform_inline(Task* t, const InlineAction& action) {
+  EO_CHECK(t == g_current_task) << "inline action issued by task " << t->name
+                                << " outside its own resumption";
+  if (const auto* p = std::get_if<SetMemProfileAction>(&action)) {
+    t->mem = p->profile;
+    return;
+  }
+  const AtomicAction& a = *std::get_if<AtomicAction>(&action);
   EO_CHECK(a.word != nullptr);
   t->overhead += cfg_.costs.atomic_op;
   auto& v = a.word->value_;

@@ -111,6 +111,13 @@ class Kernel {
   /// used by the runtime's awaitables.
   static Task* current();
 
+  /// Runs work that takes no simulated time for `t`, which must be the task
+  /// being resumed (it is called from inside its coroutine): an atomic on a
+  /// word, which charges costs.atomic_op to the task's overhead, leaves the
+  /// result in t->action_result and releases running spinners whose
+  /// predicate a store made true; or a memory-profile switch.
+  void perform_inline(Task* t, const InlineAction& action);
+
   // --- simulated resources ---
   SimWord* alloc_word(std::uint64_t init = 0);
   int epoll_create();
@@ -277,7 +284,6 @@ class Kernel {
   SimDuration slice_left(Core& c, Task* t) const;
 
   // --- action handlers ---
-  void perform_atomic(Core& c, Task* t, const AtomicAction& a);
   bool handle_futex_wait(Core& c, Task* t, const FutexWaitAction& a);
   bool handle_futex_wake(Core& c, Task* t, const FutexWakeAction& a);
   bool handle_epoll_wait(Core& c, Task* t, const EpollWaitAction& a);

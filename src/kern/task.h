@@ -50,8 +50,10 @@ struct Task {
   /// Result delivered to the awaitable's await_resume.
   std::uint64_t action_result = 0;
 
-  /// Cost of synchronously interpreted operations, charged as wall time at
-  /// the next scheduling boundary.
+  /// Cost of operations that take no simulated time (atomics, spin checks,
+  /// futex setup, timer interrupts), charged to the scheduler's accounting
+  /// (vruntime, sum_exec) at the next scheduling boundary. It moves neither
+  /// the clock nor stats.cpu_time.
   SimDuration overhead = 0;
   /// One-shot penalty (cache refill after context switch / migration)
   /// charged when the task next runs.

@@ -10,21 +10,41 @@
 //     ...
 //   }
 //
-// Suspension protocol: leaf awaitables (Env::compute etc.) store an Action
-// on the Task and record the innermost coroutine handle as the resume point;
-// control then unwinds to the kernel, which interprets the action and later
-// resumes the resume point. SimCall frames chain continuations so completion
-// of a nested call transfers straight back to its awaiter.
+// Suspension protocol: a leaf awaitable either suspends or runs in place.
+//  - ActionAwaiter (compute, spin, futex, epoll, yield, sleep) is for work
+//    that lets simulated time pass. It stores an Action on the Task, records
+//    the innermost coroutine handle as the resume point and suspends;
+//    control unwinds to the kernel, which interprets the action and later
+//    resumes the resume point.
+//  - InlineAwaiter (atomics, memory-profile switches) is for work that takes
+//    no simulated time. Its await_ready runs the action through
+//    Kernel::perform_inline and returns true, so the coroutine never
+//    suspends and the kernel's resume loop never sees the action.
+// SimCall frames chain continuations so completion of a nested call
+// transfers straight back to its awaiter. Their frames come from FramePool;
+// SimThread frames, one per thread, come from the heap.
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <utility>
 
 #include "kern/action.h"
+#include "kern/kernel.h"
 #include "kern/task.h"
+#include "runtime/frame_pool.h"
 
 namespace eo::runtime {
+
+/// Base of the SimCall promise types: their frames come from FramePool.
+struct PooledFrame {
+  static void* operator new(std::size_t n) { return FramePool::allocate(n); }
+  static void operator delete(void* p, std::size_t n) noexcept {
+    FramePool::deallocate(p, n);
+  }
+};
 
 /// Top-level coroutine type of a simulated thread.
 class SimThread {
@@ -59,11 +79,12 @@ class SimThread {
 
 /// Composable nested coroutine (like cppcoro::task<T>), used for library
 /// primitives. Lazily started; completion symmetric-transfers back to the
-/// awaiter. The frame is destroyed by await_resume.
+/// awaiter. The frame is destroyed by await_resume and goes back to
+/// FramePool.
 template <typename T>
 class [[nodiscard]] SimCall {
  public:
-  struct promise_type {
+  struct promise_type : PooledFrame {
     std::coroutine_handle<> continuation;
     T value{};
 
@@ -114,7 +135,7 @@ class [[nodiscard]] SimCall {
 template <>
 class [[nodiscard]] SimCall<void> {
  public:
-  struct promise_type {
+  struct promise_type : PooledFrame {
     std::coroutine_handle<> continuation;
 
     SimCall get_return_object() {
@@ -159,8 +180,8 @@ class [[nodiscard]] SimCall<void> {
   handle_type h_;
 };
 
-/// Leaf awaitable: hands one Action to the kernel and resumes with its
-/// 64-bit result.
+/// Leaf awaitable for work that lets simulated time pass: hands one Action to
+/// the kernel, suspends, and resumes with its 64-bit result.
 class ActionAwaiter {
  public:
   ActionAwaiter(kern::Task* t, kern::Action action)
@@ -176,6 +197,27 @@ class ActionAwaiter {
  private:
   kern::Task* t_;
   kern::Action action_;
+};
+
+/// Leaf awaitable for work that takes no simulated time: runs the action in
+/// await_ready and never suspends. Its result is the action's 64-bit result.
+class InlineAwaiter {
+ public:
+  InlineAwaiter(kern::Kernel* k, kern::Task* t, kern::InlineAction action)
+      : k_(k), t_(t), action_(action) {}
+
+  bool await_ready() {
+    k_->perform_inline(t_, action_);
+    return true;
+  }
+  /// Never called: await_ready always returns true.
+  void await_suspend(std::coroutine_handle<>) noexcept {}
+  std::uint64_t await_resume() const noexcept { return t_->action_result; }
+
+ private:
+  kern::Kernel* k_;
+  kern::Task* t_;
+  kern::InlineAction action_;
 };
 
 }  // namespace eo::runtime

@@ -45,26 +45,25 @@ class Env {
     return {t_, kern::ComputeAction{work, hw::SegmentKind::kTightLoop, site, -1}};
   }
 
-  // --- atomics ---
-  ActionAwaiter load(kern::SimWord* w) const {
-    return {t_, kern::AtomicAction{w, kern::AtomicOp::kLoad, 0, 0}};
+  // --- atomics (take no simulated time; the coroutine does not suspend) ---
+  InlineAwaiter load(kern::SimWord* w) const {
+    return atomic(w, kern::AtomicOp::kLoad, 0, 0);
   }
-  ActionAwaiter store(kern::SimWord* w, std::uint64_t v) const {
-    return {t_, kern::AtomicAction{w, kern::AtomicOp::kStore, v, 0}};
+  InlineAwaiter store(kern::SimWord* w, std::uint64_t v) const {
+    return atomic(w, kern::AtomicOp::kStore, v, 0);
   }
   /// Returns 1 on success, 0 on failure.
-  ActionAwaiter cas(kern::SimWord* w, std::uint64_t expected,
+  InlineAwaiter cas(kern::SimWord* w, std::uint64_t expected,
                     std::uint64_t desired) const {
-    return {t_, kern::AtomicAction{w, kern::AtomicOp::kCompareSwap, expected,
-                                   desired}};
+    return atomic(w, kern::AtomicOp::kCompareSwap, expected, desired);
   }
   /// Returns the previous value.
-  ActionAwaiter exchange(kern::SimWord* w, std::uint64_t v) const {
-    return {t_, kern::AtomicAction{w, kern::AtomicOp::kExchange, v, 0}};
+  InlineAwaiter exchange(kern::SimWord* w, std::uint64_t v) const {
+    return atomic(w, kern::AtomicOp::kExchange, v, 0);
   }
   /// Returns the previous value.
-  ActionAwaiter fetch_add(kern::SimWord* w, std::uint64_t v) const {
-    return {t_, kern::AtomicAction{w, kern::AtomicOp::kFetchAdd, v, 0}};
+  InlineAwaiter fetch_add(kern::SimWord* w, std::uint64_t v) const {
+    return atomic(w, kern::AtomicOp::kFetchAdd, v, 0);
   }
 
   // --- busy waiting ---
@@ -117,11 +116,16 @@ class Env {
   ActionAwaiter sleep(SimDuration d) const {
     return {t_, kern::SleepAction{d}};
   }
-  ActionAwaiter set_mem_profile(const hw::MemProfile& p) const {
-    return {t_, kern::SetMemProfileAction{p}};
+  InlineAwaiter set_mem_profile(const hw::MemProfile& p) const {
+    return {k_, t_, kern::SetMemProfileAction{p}};
   }
 
  private:
+  InlineAwaiter atomic(kern::SimWord* w, kern::AtomicOp op, std::uint64_t a,
+                       std::uint64_t b) const {
+    return {k_, t_, kern::AtomicAction{w, op, a, b}};
+  }
+
   kern::Kernel* k_;
   kern::Task* t_;
 };

@@ -1,11 +1,12 @@
 // Allocation contract for the kernel's hottest paths: once a kernel is warm
 // (engine slab, wake-chain pool, runqueue storage at steady-state
-// footprint), a context switch, a futex wait/wake round trip and an obs
-// sampler tick must not touch the heap. Futex waiters ride intrusive
-// WaiterLinks embedded in Task, wake chains are pooled and spliced, engine
-// callbacks are inline EventFns, and sampler frames go into preallocated
-// ring storage — so the steady state is pointer work only. Same global-new
-// harness as sim_event_fn_test.cc / traffic_fleet_test.cc.
+// footprint), a context switch, a futex wait/wake round trip, an obs
+// sampler tick and a library call (mutex, barriers, spin flag) must not
+// touch the heap. Futex waiters ride intrusive WaiterLinks embedded in Task,
+// wake chains are pooled and spliced, engine callbacks are inline EventFns,
+// sampler frames go into preallocated ring storage, and SimCall frames are
+// recycled by FramePool — so the steady state is pointer work only. Same
+// global-new harness as sim_event_fn_test.cc / traffic_fleet_test.cc.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,7 +16,10 @@
 
 #include "common/units.h"
 #include "kern/kernel.h"
+#include "runtime/barrier.h"
+#include "runtime/mutex.h"
 #include "runtime/sim_thread.h"
+#include "runtime/spin.h"
 
 // --- allocation-counting harness (whole test binary) ---
 namespace {
@@ -122,6 +126,63 @@ TEST(KernHotPath, SamplerTickAllocationFreeWhenWarm) {
   // The window is longer than the default ring, so the overwrite-oldest
   // path ran inside it too.
   EXPECT_GT(k.sampler().series().dropped(), 0u);
+  EXPECT_TRUE(k.run_to_exit(k.now() + 10_s));
+}
+
+TEST(KernHotPath, LibraryCallsAllocationFreeWhenWarm) {
+  KernelConfig c;
+  c.topo = hw::Topology::make_cores(2, 1);
+  Kernel k(c);
+  runtime::SimMutex mutex(k);
+  runtime::SimBarrier barrier(k, 2);
+  runtime::SpinBarrier spin_barrier(k, 2);
+  runtime::SpinFlag ping(k);
+  runtime::SpinFlag pong(k);
+  std::uint64_t try_locks_won = 0;
+  // Two threads, one per core, each round: mutex lock/unlock/try_lock, both
+  // barriers, then a SpinFlag handoff. The setter computes first, so the
+  // other side is already spinning on its core when the store lands and
+  // the store releases a running spinner.
+  for (int me = 0; me < 2; ++me) {
+    runtime::SpawnOpts opts;
+    opts.pin_cpu = me;
+    runtime::spawn(
+        k, "t",
+        [&, me](runtime::Env env) -> runtime::SimThread {
+          runtime::SpinFlag& mine = me == 0 ? ping : pong;
+          runtime::SpinFlag& theirs = me == 0 ? pong : ping;
+          for (std::uint64_t r = 1; r <= 3000; ++r) {
+            co_await mutex.lock(env);
+            co_await env.compute(1_us);
+            co_await mutex.unlock(env);
+            const bool won = co_await mutex.try_lock(env);
+            if (won) {
+              ++try_locks_won;
+              co_await mutex.unlock(env);
+            }
+            co_await barrier.wait(env);
+            co_await spin_barrier.wait(env);
+            if (me == 0) {
+              co_await env.compute(2_us);
+              co_await mine.set(env, r);
+              co_await theirs.wait_for(env, r);
+            } else {
+              co_await theirs.wait_for(env, r);
+              co_await env.compute(2_us);
+              co_await mine.set(env, r);
+            }
+          }
+          co_return;
+        },
+        opts);
+  }
+  k.run_until(5_ms);  // warm: frame pool, spinner lists, engine heap at depth
+  const SimDuration spin_busy_before = k.total_spin_busy();
+  const std::uint64_t n = allocs_during([&] { k.run_until(30_ms); });
+  EXPECT_EQ(n, 0u);
+  // The window really ran the handoffs and the lock paths.
+  EXPECT_GT(k.total_spin_busy() - spin_busy_before, 1_ms);
+  EXPECT_GT(try_locks_won, 500u);
   EXPECT_TRUE(k.run_to_exit(k.now() + 10_s));
 }
 

@@ -124,6 +124,71 @@ TEST(KernelSmoke, AtomicOpsWork) {
   EXPECT_EQ(w->peek(), 7u);
 }
 
+// Atomics run inside the awaiter, without suspending: no simulated time
+// passes, and each one adds costs.atomic_op to the task's overhead, which
+// the scheduler charges at the next boundary (here: the exit).
+TEST(KernelSmoke, AtomicsChargeTheirCostAtTheNextBoundary) {
+  constexpr int kAtomics = 40;
+  struct Run {
+    SimTime exit_time;
+    SimDuration cpu_time;
+    SimDuration sum_exec;
+  };
+  auto run = [](int n_atomics) {
+    Kernel k(one_core());
+    kern::SimWord* w = k.alloc_word(0);
+    runtime::spawn(k, "t", [w, n_atomics](Env env) -> SimThread {
+      co_await env.compute(1_ms);
+      for (int i = 0; i < n_atomics; ++i) co_await env.fetch_add(w, 1);
+      co_return;
+    });
+    EXPECT_TRUE(k.run_to_exit(1_s));
+    EXPECT_EQ(w->peek(), static_cast<std::uint64_t>(n_atomics));
+    const kern::Task& t = *k.tasks().front();
+    return Run{k.last_exit_time(), t.stats.cpu_time, t.se.sum_exec};
+  };
+  const Run none = run(0);
+  const Run some = run(kAtomics);
+  EXPECT_EQ(some.exit_time, none.exit_time);
+  EXPECT_EQ(some.cpu_time, none.cpu_time);
+  EXPECT_EQ(some.sum_exec - none.sum_exec,
+            kAtomics * one_core().costs.atomic_op);
+}
+
+TEST(KernelSmoke, InlineStoreReleasesARunningSpinnerAfterSpinObserve) {
+  KernelConfig c;
+  c.topo = hw::Topology::make_cores(2, 1);
+  Kernel k(c);
+  kern::SimWord* flag = k.alloc_word(0);
+  SimTime spin_done = -1;
+  SimTime stored_at = -1;
+  runtime::SpawnOpts on0, on1;
+  on0.pin_cpu = 0;
+  on1.pin_cpu = 1;
+  runtime::spawn(
+      k, "spinner",
+      [&, flag](Env env) -> SimThread {
+        co_await env.spin_until_eq(flag, 1, 1);
+        spin_done = env.now();
+        co_return;
+      },
+      on0);
+  runtime::spawn(
+      k, "setter",
+      [&, flag](Env env) -> SimThread {
+        // Mid-slice for the spinner, so it is on its core spinning when the
+        // store lands.
+        co_await env.compute(2_ms + 123_us);
+        co_await env.store(flag, 1);
+        stored_at = env.now();
+        co_return;
+      },
+      on1);
+  ASSERT_TRUE(k.run_to_exit(1_s));
+  ASSERT_GE(stored_at, 2_ms);
+  EXPECT_EQ(spin_done, stored_at + c.costs.spin_observe);
+}
+
 TEST(KernelSmoke, SpinUntilReleasedByStore) {
   KernelConfig c;
   c.topo = hw::Topology::make_cores(2, 1);

@@ -1,13 +1,19 @@
 // Tests for the futex-based synchronization primitives (mutex, barrier,
-// condition variable, semaphore) and the user-level spin helpers.
+// condition variable, semaphore), the user-level spin helpers, and the pool
+// their coroutine frames come from.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+
 #include "kern/kernel.h"
 #include "runtime/barrier.h"
 #include "runtime/condvar.h"
+#include "runtime/frame_pool.h"
 #include "runtime/mutex.h"
 #include "runtime/semaphore.h"
 #include "runtime/sim_thread.h"
@@ -241,6 +247,44 @@ TEST(SpinBarrier, SynchronizesRounds) {
   EXPECT_EQ(*errors, 0);
   EXPECT_EQ(*counter, n * 20);
 }
+
+using runtime::FramePool;
+
+TEST(FramePool, RecyclesWithinASizeClass) {
+  // 300 and 260 bytes share the 257..320 class: the second allocation
+  // reuses the block the first one freed.
+  void* a = FramePool::allocate(300);
+  FramePool::deallocate(a, 300);
+  void* b = FramePool::allocate(260);
+  EXPECT_EQ(b, a);
+  // Another class does not see it.
+  void* c = FramePool::allocate(100);
+  EXPECT_NE(c, a);
+  // Beyond the largest class frames go to the heap and back.
+  const std::size_t big_bytes =
+      FramePool::kClasses * FramePool::kClassBytes + 1;
+  void* big = FramePool::allocate(big_bytes);
+  FramePool::deallocate(big, big_bytes);
+  FramePool::deallocate(c, 100);
+  FramePool::deallocate(b, 260);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+TEST(FramePool, RecycledFrameIsPoisonedUnderAsan) {
+  auto* p = static_cast<char*>(FramePool::allocate(200));
+  EXPECT_FALSE(__asan_address_is_poisoned(p + 100));
+  FramePool::deallocate(p, 200);
+  EXPECT_TRUE(__asan_address_is_poisoned(p));
+  EXPECT_TRUE(__asan_address_is_poisoned(p + 255));
+  // A use after the frame went back to the pool is still reported.
+  EXPECT_DEATH({ static_cast<volatile char*>(p)[100] = 1; },
+               "use-after-poison");
+  void* again = FramePool::allocate(200);
+  EXPECT_EQ(again, p);
+  EXPECT_FALSE(__asan_address_is_poisoned(p + 255));
+  FramePool::deallocate(again, 200);
+}
+#endif
 
 }  // namespace
 }  // namespace eo
