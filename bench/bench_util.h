@@ -293,8 +293,7 @@ inline bool check_fleet_metrics(
               static_cast<unsigned long long>(rep->watchdog_checks));
   if (cli.fleet_metrics_path.empty()) return ok;
   std::string err;
-  if (!obs::export_fleet_to_file(*rep, cli.fleet_metrics_path, "json",
-                                 &err)) {
+  if (!obs::export_fleet_to_file(*rep, cli.fleet_metrics_path, &err)) {
     std::fprintf(stderr, "fleet-metrics: export failed: %s\n", err.c_str());
     return false;
   }

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 
 namespace eo::json {
 
@@ -43,6 +44,43 @@ std::string escape(const std::string& s) {
     }
   }
   return out;
+}
+
+bool fail(std::string* err, const std::string& msg) {
+  if (err) *err = msg;
+  return false;
+}
+
+bool require_number(const Value& obj, const char* key, std::string* err) {
+  const Value* v = obj.get(key);
+  if (!v || !v->is_number()) {
+    return fail(err, std::string("missing numeric field '") + key + "'");
+  }
+  return true;
+}
+
+bool check_schema(const Value& v, const char* name, int version,
+                  std::string* err, const char* what) {
+  const Value* schema = v.get("schema");
+  if (!schema || !schema->is_string() || schema->str != name) {
+    return fail(err, std::string(what) + "'schema' is not \"" + name + "\"");
+  }
+  const Value* ver = v.get("schema_version");
+  if (!ver || !ver->is_number() || ver->num != version) {
+    return fail(err, std::string(what) + "'schema_version' is not " +
+                         std::to_string(version));
+  }
+  return true;
+}
+
+bool write_file(const std::string& path, const std::string& text,
+                std::string* err) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  if (!f) return fail(err, "cannot open " + path + " for writing");
+  f << text;
+  f.close();
+  if (!f) return fail(err, "write to " + path + " failed");
+  return true;
 }
 
 // ---------------------------------------------------------------------------

@@ -44,6 +44,27 @@ bool parse(const std::string& text, Value* out, std::string* err);
 /// Escapes a string for embedding inside a JSON string literal (no quotes).
 std::string escape(const std::string& s);
 
+// --- validator and exporter helpers ----------------------------------------
+// Failure reasons are built only on the failure path.
+
+/// Stores `msg` in `*err` (when non-null) and returns false.
+bool fail(std::string* err, const std::string& msg);
+
+/// True when `obj` has a numeric field `key`; otherwise fails with
+/// "missing numeric field '<key>'".
+bool require_number(const Value& obj, const char* key, std::string* err);
+
+/// The envelope every `eo-*` document opens with: a "schema" string equal to
+/// `name` and a "schema_version" number equal to `version`. `what` prefixes
+/// the reason (an embedded section names itself; a document passes "").
+bool check_schema(const Value& v, const char* name, int version,
+                  std::string* err, const char* what = "");
+
+/// Writes `text` to `path`, replacing the file. Returns false with "cannot
+/// open <path> for writing" or "write to <path> failed" in `err`.
+bool write_file(const std::string& path, const std::string& text,
+                std::string* err);
+
 /// Streaming JSON writer. The caller drives the document shape; the writer
 /// inserts commas, quotes keys, escapes strings, and formats numbers
 /// deterministically. Misuse (a bare value where a key is required) is a

@@ -1,13 +1,15 @@
 #include "exp/result.h"
 
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "common/json.h"
 #include "common/logging.h"
 
 namespace eo::exp {
+
+using json::fail;
+using json::require_number;
 
 namespace {
 
@@ -136,35 +138,10 @@ std::string ResultDoc::render() const {
 bool ResultDoc::write(const std::string& path, std::string* err) const {
   const std::string text = render();
   if (!validate_result_json(text, err)) return false;
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) {
-    if (err) *err = "cannot open " + path + " for writing";
-    return false;
-  }
-  f << text;
-  f.close();
-  if (!f) {
-    if (err) *err = "write to " + path + " failed";
-    return false;
-  }
-  return true;
+  return json::write_file(path, text, err);
 }
 
 namespace {
-
-bool fail(std::string* err, const std::string& msg) {
-  if (err) *err = msg;
-  return false;
-}
-
-bool check_number_field(const json::Value& obj, const char* key,
-                        std::string* err) {
-  const json::Value* v = obj.get(key);
-  if (!v || !v->is_number()) {
-    return fail(err, std::string("cell missing numeric field '") + key + "'");
-  }
-  return true;
-}
 
 bool validate_cell(const json::Value& cell, std::size_t n_axes,
                    const std::vector<std::vector<std::string>>& axis_values,
@@ -202,21 +179,21 @@ bool validate_cell(const json::Value& cell, std::size_t n_axes,
         "spin_busy_ms", "context_switches", "migrations_in_node",
         "migrations_cross_node", "vb_parks", "wakeup_p50_ns", "wakeup_p95_ns",
         "wakeup_p99_ns", "wakeup_count"}) {
-    if (!check_number_field(cell, key, err)) return false;
+    if (!require_number(cell, key, err)) return false;
   }
   const json::Value* bwd = cell.get("bwd");
   if (!bwd || !bwd->is_object()) {
     return fail(err, "cell missing object field 'bwd'");
   }
   for (const char* key : {"windows", "tp", "fp", "fn", "tn"}) {
-    if (!check_number_field(*bwd, key, err)) return false;
+    if (!require_number(*bwd, key, err)) return false;
   }
   const json::Value* obs = cell.get("obs");
   if (obs) {
     if (!obs->is_object()) return fail(err, "'obs' is not an object");
     for (const char* key : {"samples", "dropped_samples", "watchdog_checks",
                             "watchdog_violations"}) {
-      if (!check_number_field(*obs, key, err)) return false;
+      if (!require_number(*obs, key, err)) return false;
     }
   }
   const json::Value* extra = cell.get("extra");
@@ -282,16 +259,9 @@ bool validate_result_json(const std::string& text, std::string* err) {
   json::Value root;
   if (!json::parse(text, &root, err)) return false;
   if (!root.is_object()) return fail(err, "document root is not an object");
-  const json::Value* schema = root.get("schema");
-  if (!schema || !schema->is_string() || schema->str != kResultSchemaName) {
-    return fail(err, std::string("'schema' is not \"") + kResultSchemaName +
-                         "\"");
-  }
-  const json::Value* version = root.get("schema_version");
-  if (!version || !version->is_number() ||
-      version->num != kResultSchemaVersion) {
-    return fail(err, "'schema_version' is not " +
-                         std::to_string(kResultSchemaVersion));
+  if (!json::check_schema(root, kResultSchemaName, kResultSchemaVersion,
+                          err)) {
+    return false;
   }
   const json::Value* bench = root.get("bench");
   if (!bench || !bench->is_string() || bench->str.empty()) {

@@ -561,8 +561,7 @@ void Kernel::begin_current(Core& c) {
   Task* t = c.current;
   EO_CHECK(t != nullptr);
 
-  if (c.need_resched && policy_->nr_schedulable(c.id) > 0 &&
-      !t->se.vb_blocked) {
+  if (c.need_resched && !t->se.vb_blocked) {
     // A better candidate woke during the switch; go around again.
     deschedule_current(c, /*requeue=*/true, /*voluntary=*/false);
     schedule(c);
@@ -691,15 +690,13 @@ void Kernel::setup_compute(Core& c, Task* t, ComputeAction& a) {
     a.remaining_wall += t->resume_penalty;
     t->resume_penalty = 0;
   }
-  SimDuration sl = slice_left(c, t);
+  const SimDuration sl = slice_left(c, t);
   if (sl <= 0) {
-    if (policy_->nr_schedulable(c.id) > 0) {
-      deschedule_current(c, /*requeue=*/true, /*voluntary=*/false);
-      schedule(c);
-      return;
-    }
-    account_tick(c);  // renew the slice in place
-    sl = policy_->slice_for(c.id, &t->se);
+    // Every expiry goes back through the scheduler; a task alone on the
+    // queue is simply picked again (no slice renewal in place).
+    deschedule_current(c, /*requeue=*/true, /*voluntary=*/false);
+    schedule(c);
+    return;
   }
   const double speed = execution_speed(c);
   const auto need = static_cast<SimDuration>(
@@ -728,12 +725,8 @@ void Kernel::compute_event(Core& c) {
     return;
   }
   // Slice expired mid-compute.
-  if (policy_->nr_schedulable(c.id) > 0) {
-    deschedule_current(c, /*requeue=*/true, /*voluntary=*/false);
-    schedule(c);
-  } else {
-    setup_compute(c, t, *a);
-  }
+  deschedule_current(c, /*requeue=*/true, /*voluntary=*/false);
+  schedule(c);
 }
 
 void Kernel::setup_spin(Core& c, Task* t, SpinUntilAction& a) {
@@ -749,13 +742,9 @@ void Kernel::setup_spin(Core& c, Task* t, SpinUntilAction& a) {
   }
   SimDuration sl = slice_left(c, t);
   if (sl <= 0) {
-    if (policy_->nr_schedulable(c.id) > 0) {
-      deschedule_current(c, /*requeue=*/true, /*voluntary=*/false);
-      schedule(c);
-      return;
-    }
-    account_tick(c);
-    sl = policy_->slice_for(c.id, &t->se);
+    deschedule_current(c, /*requeue=*/true, /*voluntary=*/false);
+    schedule(c);
+    return;
   }
   if (a.deadline >= 0) sl = std::min(sl, a.deadline - now());
   set_segment(c, hw::SegmentKind::kSpin, a.site, a.uses_pause);
@@ -788,18 +777,8 @@ void Kernel::spin_slice_event(Core& c) {
     resume_step(c, t);
     return;
   }
-  if (policy_->nr_schedulable(c.id) > 0) {
-    deschedule_current(c, /*requeue=*/true, /*voluntary=*/false);
-    schedule(c);
-  } else {
-    // Alone on the queue: keep spinning with a renewed slice.
-    account_tick(c);
-    SimDuration next = policy_->slice_for(c.id, &t->se);
-    if (a->deadline >= 0) next = std::min(next, a->deadline - now());
-    if (next < 1) next = 1;
-    c.run_event = engine_.schedule_after(next,
-                                         [this, &c] { spin_slice_event(c); });
-  }
+  deschedule_current(c, /*requeue=*/true, /*voluntary=*/false);
+  schedule(c);
 }
 
 void Kernel::notify_spinners(SimWord* word) {
@@ -1135,7 +1114,7 @@ void Kernel::wake_chain_step(WakeChain* chain) {
   EO_CHECK_GE(w->se.cpu, 0);
   Core& c = core(w->se.cpu);
   EO_CHECK_EQ(c.current, w);
-  if (c.need_resched && policy_->nr_schedulable(c.id) > 0) {
+  if (c.need_resched) {
     deschedule_current(c, /*requeue=*/true, /*voluntary=*/false);
     schedule(c);
     return;

@@ -272,7 +272,7 @@ class Kernel {
   void deschedule_current(Core& c, bool requeue, bool voluntary);
   void account_segment(Core& c);
   /// Charges vruntime/cpu_time for execution since exec_start and restarts
-  /// the interval (slice renewal).
+  /// the interval.
   void account_tick(Core& c);
   void set_segment(Core& c, hw::SegmentKind kind, hw::BranchSite site,
                    bool pause);

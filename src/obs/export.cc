@@ -1,7 +1,6 @@
 #include "obs/export.h"
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 
 #include "common/histogram.h"
@@ -11,7 +10,43 @@
 
 namespace eo::obs {
 
+using json::fail;
+using json::require_number;
+
 namespace {
+
+/// `key`: [{name, value}] — the counters of both documents and the
+/// single-host gauges.
+template <typename NamedValue>
+void write_named_values(json::Writer& w, const char* key,
+                        const std::vector<NamedValue>& values) {
+  w.key(key);
+  w.begin_array();
+  for (const auto& v : values) {
+    w.begin_object();
+    w.field("name", v.name);
+    w.field("value", v.value);
+    w.end_object();
+  }
+  w.end_array();
+}
+
+bool validate_named_values(const json::Value& root, const char* key,
+                           std::string* err) {
+  const json::Value* arr = root.get(key);
+  if (!arr || !arr->is_array()) {
+    return fail(err, std::string("'") + key + "' missing or not an array");
+  }
+  for (const auto& e : arr->items) {
+    if (!e.is_object()) return fail(err, std::string(key) + " entry not an object");
+    const json::Value* name = e.get("name");
+    if (!name || !name->is_string() || name->str.empty()) {
+      return fail(err, std::string(key) + " entry missing string 'name'");
+    }
+    if (!require_number(e, "value", err)) return false;
+  }
+  return true;
+}
 
 void render_json(const MetricsDoc& doc, std::ostream& os) {
   EO_CHECK_EQ(doc.core_series.size(),
@@ -25,42 +60,9 @@ void render_json(const MetricsDoc& doc, std::ostream& os) {
   w.field("ticks", doc.ticks);
   w.field("dropped_ticks", doc.dropped_ticks);
 
-  w.key("counters");
-  w.begin_array();
-  for (const auto& c : doc.counters) {
-    w.begin_object();
-    w.field("name", c.name);
-    w.field("value", c.value);
-    w.end_object();
-  }
-  w.end_array();
-
-  w.key("gauges");
-  w.begin_array();
-  for (const auto& g : doc.gauges) {
-    w.begin_object();
-    w.field("name", g.name);
-    w.field("value", g.value);
-    w.end_object();
-  }
-  w.end_array();
-
-  w.key("histograms");
-  w.begin_array();
-  for (const auto& h : doc.histograms) {
-    w.begin_object();
-    w.field("name", h.name);
-    w.field("count", h.count);
-    w.field("min", h.min);
-    w.field("max", h.max);
-    w.field("mean", h.mean);
-    w.field("p50", h.p50);
-    w.field("p95", h.p95);
-    w.field("p99", h.p99);
-    w.field("p999", h.p999);
-    w.end_object();
-  }
-  w.end_array();
+  write_counters(w, doc.counters);
+  write_named_values(w, "gauges", doc.gauges);
+  write_histograms(w, doc.histograms);
 
   w.key("series");
   w.begin_object();
@@ -103,21 +105,8 @@ void render_json(const MetricsDoc& doc, std::ostream& os) {
   w.end_array();
   w.end_object();  // series
 
-  w.key("watchdog");
-  w.begin_object();
-  w.field("checks", doc.watchdog_checks);
-  w.field("violations", doc.watchdog_violations);
-  w.key("records");
-  w.begin_array();
-  for (const auto& v : doc.violation_records) {
-    w.begin_object();
-    w.field("ts_ns", static_cast<std::int64_t>(v.ts));
-    w.field("invariant", v.invariant);
-    w.field("detail", v.detail);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();  // watchdog
+  write_watchdog(w, doc.watchdog_checks, doc.watchdog_violations,
+                 doc.violation_records);
 
   if (doc.taskstats != nullptr) {
     w.key("taskstats");
@@ -217,38 +206,97 @@ void render_report(const MetricsDoc& doc, std::ostream& os) {
   }
 }
 
-bool fail(std::string* err, const std::string& msg) {
-  if (err) *err = msg;
-  return false;
-}
-
-bool require_number(const json::Value& obj, const char* key,
-                    std::string* err) {
-  const json::Value* v = obj.get(key);
-  if (!v || !v->is_number()) {
-    return fail(err, std::string("missing numeric field '") + key + "'");
-  }
-  return true;
-}
-
-bool validate_named_values(const json::Value& root, const char* key,
-                           std::string* err) {
-  const json::Value* arr = root.get(key);
-  if (!arr || !arr->is_array()) {
-    return fail(err, std::string("'") + key + "' missing or not an array");
-  }
-  for (const auto& e : arr->items) {
-    if (!e.is_object()) return fail(err, std::string(key) + " entry not an object");
-    const json::Value* name = e.get("name");
-    if (!name || !name->is_string() || name->str.empty()) {
-      return fail(err, std::string(key) + " entry missing string 'name'");
-    }
-    if (!require_number(e, "value", err)) return false;
-  }
-  return true;
-}
-
 }  // namespace
+
+void write_counters(json::Writer& w,
+                    const std::vector<MetricRegistry::CounterValue>& counters) {
+  write_named_values(w, "counters", counters);
+}
+
+void write_histograms(json::Writer& w,
+                      const std::vector<HistogramSummary>& histograms) {
+  w.key("histograms");
+  w.begin_array();
+  for (const auto& h : histograms) {
+    w.begin_object();
+    w.field("name", h.name);
+    w.field("count", h.count);
+    w.field("min", h.min);
+    w.field("max", h.max);
+    w.field("mean", h.mean);
+    w.field("p50", h.p50);
+    w.field("p95", h.p95);
+    w.field("p99", h.p99);
+    w.field("p999", h.p999);
+    w.end_object();
+  }
+  w.end_array();
+}
+
+void write_watchdog(json::Writer& w, std::uint64_t checks,
+                    std::uint64_t violations,
+                    const std::vector<Violation>& records) {
+  w.key("watchdog");
+  w.begin_object();
+  w.field("checks", checks);
+  w.field("violations", violations);
+  w.key("records");
+  w.begin_array();
+  for (const auto& v : records) {
+    w.begin_object();
+    w.field("ts_ns", static_cast<std::int64_t>(v.ts));
+    w.field("invariant", v.invariant);
+    w.field("detail", v.detail);
+    w.end_object();
+  }
+  w.end_array();
+  w.end_object();
+}
+
+bool validate_counters(const json::Value& root, std::string* err) {
+  return validate_named_values(root, "counters", err);
+}
+
+bool validate_histograms(const json::Value& root, std::string* err) {
+  const json::Value* hists = root.get("histograms");
+  if (!hists || !hists->is_array()) {
+    return fail(err, "'histograms' missing or not an array");
+  }
+  for (const auto& h : hists->items) {
+    if (!h.is_object()) return fail(err, "histogram entry not an object");
+    const json::Value* name = h.get("name");
+    if (!name || !name->is_string()) {
+      return fail(err, "histogram entry missing string 'name'");
+    }
+    for (const char* key :
+         {"count", "min", "max", "mean", "p50", "p95", "p99", "p999"}) {
+      if (!require_number(h, key, err)) return false;
+    }
+  }
+  return true;
+}
+
+bool validate_watchdog(const json::Value& root, std::string* err) {
+  const json::Value* wd = root.get("watchdog");
+  if (!wd || !wd->is_object()) {
+    return fail(err, "'watchdog' missing or not an object");
+  }
+  if (!require_number(*wd, "checks", err)) return false;
+  if (!require_number(*wd, "violations", err)) return false;
+  const json::Value* records = wd->get("records");
+  if (!records || !records->is_array()) {
+    return fail(err, "watchdog missing array 'records'");
+  }
+  for (const auto& r : records->items) {
+    if (!r.is_object()) return fail(err, "watchdog record not an object");
+    if (!require_number(r, "ts_ns", err)) return false;
+    const json::Value* inv = r.get("invariant");
+    if (!inv || !inv->is_string()) {
+      return fail(err, "watchdog record missing string 'invariant'");
+    }
+  }
+  return true;
+}
 
 HistogramSummary summarize_histogram(const std::string& name,
                                      const Histogram& hist) {
@@ -286,51 +334,27 @@ bool export_to_file(const MetricsDoc& doc, const std::string& path,
   }
   const std::string text = render(doc, format);
   if (format == "json" && !validate_metrics_json(text, err)) return false;
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) return fail(err, "cannot open " + path + " for writing");
-  f << text;
-  f.close();
-  if (!f) return fail(err, "write to " + path + " failed");
-  return true;
+  return json::write_file(path, text, err);
 }
 
 bool validate_metrics_json(const std::string& text, std::string* err) {
   json::Value root;
   if (!json::parse(text, &root, err)) return false;
-  if (!root.is_object()) return fail(err, "document root is not an object");
-  const json::Value* schema = root.get("schema");
-  if (!schema || !schema->is_string() || schema->str != kMetricsSchemaName) {
-    return fail(err,
-                std::string("'schema' is not \"") + kMetricsSchemaName + "\"");
+  if (!root.is_object()) {
+    return fail(err, "document root is not an object");
   }
-  const json::Value* version = root.get("schema_version");
-  if (!version || !version->is_number() ||
-      version->num != kMetricsSchemaVersion) {
-    return fail(err, "'schema_version' is not " +
-                         std::to_string(kMetricsSchemaVersion));
+  if (!json::check_schema(root, kMetricsSchemaName, kMetricsSchemaVersion,
+                          err)) {
+    return false;
   }
   for (const char* key : {"n_cores", "interval_ns", "ticks", "dropped_ticks"}) {
     if (!require_number(root, key, err)) return false;
   }
   const int n_cores = static_cast<int>(root.get("n_cores")->num);
   if (n_cores <= 0) return fail(err, "'n_cores' must be positive");
-  if (!validate_named_values(root, "counters", err)) return false;
+  if (!validate_counters(root, err)) return false;
   if (!validate_named_values(root, "gauges", err)) return false;
-  const json::Value* hists = root.get("histograms");
-  if (!hists || !hists->is_array()) {
-    return fail(err, "'histograms' missing or not an array");
-  }
-  for (const auto& h : hists->items) {
-    if (!h.is_object()) return fail(err, "histogram entry not an object");
-    const json::Value* name = h.get("name");
-    if (!name || !name->is_string()) {
-      return fail(err, "histogram entry missing string 'name'");
-    }
-    for (const char* key :
-         {"count", "min", "max", "mean", "p50", "p95", "p99", "p999"}) {
-      if (!require_number(h, key, err)) return false;
-    }
-  }
+  if (!validate_histograms(root, err)) return false;
 
   const json::Value* series = root.get("series");
   if (!series || !series->is_object()) {
@@ -369,24 +393,7 @@ bool validate_metrics_json(const std::string& text, std::string* err) {
     }
   }
 
-  const json::Value* wd = root.get("watchdog");
-  if (!wd || !wd->is_object()) {
-    return fail(err, "'watchdog' missing or not an object");
-  }
-  if (!require_number(*wd, "checks", err)) return false;
-  if (!require_number(*wd, "violations", err)) return false;
-  const json::Value* records = wd->get("records");
-  if (!records || !records->is_array()) {
-    return fail(err, "watchdog missing array 'records'");
-  }
-  for (const auto& r : records->items) {
-    if (!r.is_object()) return fail(err, "watchdog record not an object");
-    if (!require_number(r, "ts_ns", err)) return false;
-    const json::Value* inv = r.get("invariant");
-    if (!inv || !inv->is_string()) {
-      return fail(err, "watchdog record missing string 'invariant'");
-    }
-  }
+  if (!validate_watchdog(root, err)) return false;
 
   // Optional embedded `eo-taskstats` section (present when the run asked for
   // per-task delay accounting export).

@@ -82,4 +82,22 @@ bool export_to_file(const MetricsDoc& doc, const std::string& path,
 /// Structural validation of an `eo-metrics` JSON document.
 bool validate_metrics_json(const std::string& text, std::string* err);
 
+// --- sections shared by `eo-metrics` and `eo-metrics-fleet` ----------------
+// Each writes or checks the named field of the document object `w` / `root`.
+
+/// "counters": [{name, value}].
+void write_counters(json::Writer& w,
+                    const std::vector<MetricRegistry::CounterValue>& counters);
+/// "histograms": [{name, count, min, max, mean, p50, p95, p99, p999}].
+void write_histograms(json::Writer& w,
+                      const std::vector<HistogramSummary>& histograms);
+/// "watchdog": {checks, violations, records: [{ts_ns, invariant, detail}]}.
+void write_watchdog(json::Writer& w, std::uint64_t checks,
+                    std::uint64_t violations,
+                    const std::vector<Violation>& records);
+
+bool validate_counters(const json::Value& root, std::string* err);
+bool validate_histograms(const json::Value& root, std::string* err);
+bool validate_watchdog(const json::Value& root, std::string* err);
+
 }  // namespace eo::obs

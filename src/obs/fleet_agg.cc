@@ -1,14 +1,15 @@
 #include "obs/fleet_agg.h"
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 
 #include "common/json.h"
 #include "common/logging.h"
-#include "metrics/table_printer.h"
 
 namespace eo::obs {
+
+using json::fail;
+using json::require_number;
 
 namespace {
 
@@ -27,15 +28,7 @@ void render_fleet_json(const FleetMetricsDoc& doc, std::ostream& os) {
   w.field("ticks", doc.ticks);
   w.field("dropped_ticks", doc.dropped_ticks);
 
-  w.key("counters");
-  w.begin_array();
-  for (const auto& c : doc.counters) {
-    w.begin_object();
-    w.field("name", c.name);
-    w.field("value", c.value);
-    w.end_object();
-  }
-  w.end_array();
+  write_counters(w, doc.counters);
 
   w.key("gauges");
   w.begin_array();
@@ -49,22 +42,7 @@ void render_fleet_json(const FleetMetricsDoc& doc, std::ostream& os) {
   }
   w.end_array();
 
-  w.key("histograms");
-  w.begin_array();
-  for (const auto& h : doc.histograms) {
-    w.begin_object();
-    w.field("name", h.name);
-    w.field("count", h.count);
-    w.field("min", h.min);
-    w.field("max", h.max);
-    w.field("mean", h.mean);
-    w.field("p50", h.p50);
-    w.field("p95", h.p95);
-    w.field("p99", h.p99);
-    w.field("p999", h.p999);
-    w.end_object();
-  }
-  w.end_array();
+  write_histograms(w, doc.histograms);
 
   w.key("hosts");
   w.begin_array();
@@ -87,99 +65,10 @@ void render_fleet_json(const FleetMetricsDoc& doc, std::ostream& os) {
   }
   w.end_array();
 
-  w.key("watchdog");
-  w.begin_object();
-  w.field("checks", doc.watchdog_checks);
-  w.field("violations", doc.watchdog_violations);
-  w.key("records");
-  w.begin_array();
-  for (const auto& v : doc.violation_records) {
-    w.begin_object();
-    w.field("ts_ns", static_cast<std::int64_t>(v.ts));
-    w.field("invariant", v.invariant);
-    w.field("detail", v.detail);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();  // watchdog
+  write_watchdog(w, doc.watchdog_checks, doc.watchdog_violations,
+                 doc.violation_records);
   w.end_object();
   os << "\n";
-}
-
-void render_fleet_report(const FleetMetricsDoc& doc, std::ostream& os) {
-  os << "eo-metrics-fleet report: hosts=" << doc.n_hosts
-     << " cores/host=" << doc.n_cores << " interval=" << to_us(doc.interval)
-     << "us ticks=" << doc.ticks << " dropped=" << doc.dropped_ticks << "\n";
-  os << "watchdog: checks=" << doc.watchdog_checks
-     << " violations=" << doc.watchdog_violations << "\n";
-  for (const auto& v : doc.violation_records) {
-    os << "  VIOLATION t=" << v.ts << "ns " << v.invariant << ": " << v.detail
-       << "\n";
-  }
-
-  if (!doc.hosts.empty()) {
-    os << "\n";
-    metrics::TablePrinter t(
-        {"host", "completed", "shed", "p99_us", "queue_us", "svc_us",
-         "sched_us", "avg_rq", "vb/s", "skip/s", "wd"},
-        os);
-    for (const auto& h : doc.hosts) {
-      t.add_row({metrics::TablePrinter::integer(h.host),
-                 metrics::TablePrinter::integer(
-                     static_cast<std::int64_t>(h.completed)),
-                 metrics::TablePrinter::integer(
-                     static_cast<std::int64_t>(h.shed)),
-                 metrics::TablePrinter::num(static_cast<double>(h.p99_ns) /
-                                            1000.0),
-                 metrics::TablePrinter::num(
-                     static_cast<double>(h.queue_p99_ns) / 1000.0),
-                 metrics::TablePrinter::num(
-                     static_cast<double>(h.service_p99_ns) / 1000.0),
-                 metrics::TablePrinter::num(
-                     static_cast<double>(h.sched_delay_p99_ns) / 1000.0),
-                 metrics::TablePrinter::num(h.mean_rq_depth),
-                 metrics::TablePrinter::num(h.vb_park_rate),
-                 metrics::TablePrinter::num(h.bwd_skip_rate),
-                 metrics::TablePrinter::integer(
-                     static_cast<std::int64_t>(h.watchdog_violations))});
-    }
-    t.print();
-  }
-
-  os << "\ncounters (fleet sums):\n";
-  for (const auto& c : doc.counters) {
-    os << "  " << c.name << " " << c.value << "\n";
-  }
-  if (!doc.gauges.empty()) {
-    os << "gauges (min/mean/max across hosts):\n";
-    for (const auto& g : doc.gauges) {
-      os << "  " << g.name << " " << g.min << "/" << g.mean << "/" << g.max
-         << "\n";
-    }
-  }
-  if (!doc.histograms.empty()) {
-    os << "histograms (merged across hosts):\n";
-    for (const auto& h : doc.histograms) {
-      os << "  " << h.name << " count=" << h.count << " min=" << h.min
-         << " max=" << h.max << " mean=" << h.mean << " p50=" << h.p50
-         << " p95=" << h.p95 << " p99=" << h.p99 << " p999=" << h.p999
-         << "\n";
-    }
-  }
-}
-
-bool fail(std::string* err, const std::string& msg) {
-  if (err) *err = msg;
-  return false;
-}
-
-bool require_number(const json::Value& obj, const char* key,
-                    std::string* err) {
-  const json::Value* v = obj.get(key);
-  if (!v || !v->is_number()) {
-    return fail(err, std::string("missing numeric field '") + key + "'");
-  }
-  return true;
 }
 
 }  // namespace
@@ -332,48 +221,26 @@ MetricsDoc tag_host_violations(const MetricsDoc& doc, int host) {
 std::string render_fleet(const FleetMetricsDoc& doc,
                          const std::string& format) {
   std::ostringstream os;
-  if (format == "json") {
-    render_fleet_json(doc, os);
-  } else if (format == "report") {
-    render_fleet_report(doc, os);
-  } else {
-    EO_CHECK(false) << "unknown fleet metrics format '" << format << "'";
-  }
+  EO_CHECK(format == "json")
+      << "unknown fleet metrics format '" << format << "'";
+  render_fleet_json(doc, os);
   return os.str();
 }
 
 bool export_fleet_to_file(const FleetMetricsDoc& doc, const std::string& path,
-                          const std::string& format, std::string* err) {
-  if (format != "json" && format != "report") {
-    return fail(err, "unknown fleet metrics format '" + format + "'");
-  }
-  const std::string text = render_fleet(doc, format);
-  if (format == "json" && !validate_fleet_metrics_json(text, err)) {
-    return false;
-  }
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) return fail(err, "cannot open " + path + " for writing");
-  f << text;
-  f.close();
-  if (!f) return fail(err, "write to " + path + " failed");
-  return true;
+                          std::string* err) {
+  const std::string text = render_fleet(doc, "json");
+  if (!validate_fleet_metrics_json(text, err)) return false;
+  return json::write_file(path, text, err);
 }
 
 bool validate_fleet_metrics_json(const std::string& text, std::string* err) {
   json::Value root;
   if (!json::parse(text, &root, err)) return false;
   if (!root.is_object()) return fail(err, "document root is not an object");
-  const json::Value* schema = root.get("schema");
-  if (!schema || !schema->is_string() ||
-      schema->str != kFleetMetricsSchemaName) {
-    return fail(err, std::string("'schema' is not \"") +
-                         kFleetMetricsSchemaName + "\"");
-  }
-  const json::Value* version = root.get("schema_version");
-  if (!version || !version->is_number() ||
-      version->num != kFleetMetricsSchemaVersion) {
-    return fail(err, "'schema_version' is not " +
-                         std::to_string(kFleetMetricsSchemaVersion));
+  if (!json::check_schema(root, kFleetMetricsSchemaName,
+                          kFleetMetricsSchemaVersion, err)) {
+    return false;
   }
   for (const char* key :
        {"n_hosts", "n_cores", "interval_ns", "ticks", "dropped_ticks"}) {
@@ -382,18 +249,7 @@ bool validate_fleet_metrics_json(const std::string& text, std::string* err) {
   const int n_hosts = static_cast<int>(root.get("n_hosts")->num);
   if (n_hosts <= 0) return fail(err, "'n_hosts' must be positive");
 
-  const json::Value* counters = root.get("counters");
-  if (!counters || !counters->is_array()) {
-    return fail(err, "'counters' missing or not an array");
-  }
-  for (const auto& c : counters->items) {
-    if (!c.is_object()) return fail(err, "counter entry not an object");
-    const json::Value* name = c.get("name");
-    if (!name || !name->is_string() || name->str.empty()) {
-      return fail(err, "counter entry missing string 'name'");
-    }
-    if (!require_number(c, "value", err)) return false;
-  }
+  if (!validate_counters(root, err)) return false;
 
   const json::Value* gauges = root.get("gauges");
   if (!gauges || !gauges->is_array()) {
@@ -410,21 +266,7 @@ bool validate_fleet_metrics_json(const std::string& text, std::string* err) {
     }
   }
 
-  const json::Value* hists = root.get("histograms");
-  if (!hists || !hists->is_array()) {
-    return fail(err, "'histograms' missing or not an array");
-  }
-  for (const auto& h : hists->items) {
-    if (!h.is_object()) return fail(err, "histogram entry not an object");
-    const json::Value* name = h.get("name");
-    if (!name || !name->is_string()) {
-      return fail(err, "histogram entry missing string 'name'");
-    }
-    for (const char* key :
-         {"count", "min", "max", "mean", "p50", "p95", "p99", "p999"}) {
-      if (!require_number(h, key, err)) return false;
-    }
-  }
+  if (!validate_histograms(root, err)) return false;
 
   const json::Value* hosts = root.get("hosts");
   if (!hosts || !hosts->is_array() ||
@@ -446,25 +288,10 @@ bool validate_fleet_metrics_json(const std::string& text, std::string* err) {
     ++expect;
   }
 
-  const json::Value* wd = root.get("watchdog");
-  if (!wd || !wd->is_object()) {
-    return fail(err, "'watchdog' missing or not an object");
-  }
-  if (!require_number(*wd, "checks", err)) return false;
-  if (!require_number(*wd, "violations", err)) return false;
-  const json::Value* records = wd->get("records");
-  if (!records || !records->is_array()) {
-    return fail(err, "watchdog missing array 'records'");
-  }
-  for (const auto& r : records->items) {
-    if (!r.is_object()) return fail(err, "watchdog record not an object");
-    if (!require_number(r, "ts_ns", err)) return false;
-    const json::Value* inv = r.get("invariant");
-    if (!inv || !inv->is_string()) {
-      return fail(err, "watchdog record missing string 'invariant'");
-    }
-    // The whole point of the fleet doc's records: attributability.
-    if (inv->str.rfind("host=", 0) != 0) {
+  if (!validate_watchdog(root, err)) return false;
+  // The whole point of the fleet doc's records: attributability.
+  for (const auto& r : root.get("watchdog")->get("records")->items) {
+    if (r.get("invariant")->str.rfind("host=", 0) != 0) {
       return fail(err, "fleet watchdog record invariant lacks host= prefix");
     }
   }

@@ -145,13 +145,13 @@ class FleetAggregator {
 /// copy of `doc`, for single-doc exports that sit alongside a fleet run.
 MetricsDoc tag_host_violations(const MetricsDoc& doc, int host);
 
-/// Renders per format ("json" or "report").
+/// Renders the `eo-metrics-fleet` JSON document; "json" is the only format.
 std::string render_fleet(const FleetMetricsDoc& doc, const std::string& format);
 
-/// Renders and writes; JSON output is validated before the write. Returns
-/// false with a reason in `err` on failure.
+/// Renders, validates and writes the JSON document. Returns false with a
+/// reason in `err` on failure.
 bool export_fleet_to_file(const FleetMetricsDoc& doc, const std::string& path,
-                          const std::string& format, std::string* err);
+                          std::string* err);
 
 /// Structural validation of an `eo-metrics-fleet` JSON document.
 bool validate_fleet_metrics_json(const std::string& text, std::string* err);

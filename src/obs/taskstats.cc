@@ -1,11 +1,12 @@
 #include "obs/taskstats.h"
 
-#include <fstream>
 #include <sstream>
 
 #include "common/json.h"
 
 namespace eo::obs {
+
+using json::fail;
 
 const char* to_string(TaskDelayState s) {
   switch (s) {
@@ -42,27 +43,11 @@ void write_taskstats_json(json::Writer& w, const TaskstatsDoc& doc) {
   w.end_object();
 }
 
-namespace {
-
-bool fail(std::string* err, const std::string& msg) {
-  if (err) *err = msg;
-  return false;
-}
-
-}  // namespace
-
 bool validate_taskstats_value(const json::Value& v, std::string* err) {
   if (!v.is_object()) return fail(err, "taskstats is not an object");
-  const json::Value* schema = v.get("schema");
-  if (!schema || !schema->is_string() || schema->str != kTaskstatsSchemaName) {
-    return fail(err, std::string("taskstats 'schema' is not \"") +
-                         kTaskstatsSchemaName + "\"");
-  }
-  const json::Value* version = v.get("schema_version");
-  if (!version || !version->is_number() ||
-      version->num != kTaskstatsSchemaVersion) {
-    return fail(err, "taskstats 'schema_version' is not " +
-                         std::to_string(kTaskstatsSchemaVersion));
+  if (!json::check_schema(v, kTaskstatsSchemaName, kTaskstatsSchemaVersion,
+                          err, "taskstats ")) {
+    return false;
   }
   const json::Value* n_tasks = v.get("n_tasks");
   if (!n_tasks || !n_tasks->is_number()) {
@@ -157,18 +142,7 @@ std::string render_folded(const TaskstatsDoc& doc,
 
 bool export_folded_to_file(const TaskstatsDoc& doc, const std::string& workload,
                            const std::string& path, std::string* err) {
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) {
-    if (err) *err = "cannot open " + path + " for writing";
-    return false;
-  }
-  f << render_folded(doc, workload);
-  f.close();
-  if (!f) {
-    if (err) *err = "write to " + path + " failed";
-    return false;
-  }
-  return true;
+  return json::write_file(path, render_folded(doc, workload), err);
 }
 
 }  // namespace eo::obs

@@ -1,7 +1,6 @@
 #include "trace/export.h"
 
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -10,6 +9,8 @@
 #include "common/json.h"
 
 namespace eo::trace {
+
+using json::fail;
 
 namespace {
 
@@ -125,18 +126,7 @@ bool export_to_file(const Trace& t, const std::string& path,
                     const std::string& format, std::string* err) {
   const std::string text = render(t, format);
   if (format != "csv" && !validate_chrome_trace_json(text, err)) return false;
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) {
-    if (err != nullptr) *err = "cannot open " + path + " for writing";
-    return false;
-  }
-  f << text;
-  f.close();
-  if (!f) {
-    if (err != nullptr) *err = "write to " + path + " failed";
-    return false;
-  }
-  return true;
+  return json::write_file(path, text, err);
 }
 
 // The JSON grammar itself is handled by the shared parser in common/json.h;
@@ -144,37 +134,30 @@ bool export_to_file(const Trace& t, const std::string& path,
 bool validate_chrome_trace_json(const std::string& text, std::string* err) {
   json::Value root;
   if (!json::parse(text, &root, err)) return false;
-  if (!root.is_object()) {
-    if (err != nullptr) *err = "root is not an object";
-    return false;
-  }
+  if (!root.is_object()) return fail(err, "root is not an object");
   const json::Value* events = root.get("traceEvents");
   if (events == nullptr || !events->is_array()) {
-    if (err != nullptr) *err = "missing traceEvents array";
-    return false;
+    return fail(err, "missing traceEvents array");
   }
   for (std::size_t i = 0; i < events->items.size(); ++i) {
     const json::Value& e = events->items[i];
-    const std::string at = "traceEvents[" + std::to_string(i) + "]";
-    if (!e.is_object()) {
-      if (err != nullptr) *err = at + " is not an object";
-      return false;
-    }
+    // The reason is built only on failure, not once per event.
+    auto at = [i](const char* what) {
+      return "traceEvents[" + std::to_string(i) + "]" + what;
+    };
+    if (!e.is_object()) return fail(err, at(" is not an object"));
     const json::Value* ph = e.get("ph");
     const json::Value* name = e.get("name");
     if (ph == nullptr || !ph->is_string() || ph->str.empty()) {
-      if (err != nullptr) *err = at + " lacks a string \"ph\"";
-      return false;
+      return fail(err, at(" lacks a string \"ph\""));
     }
     if (name == nullptr || !name->is_string()) {
-      if (err != nullptr) *err = at + " lacks a string \"name\"";
-      return false;
+      return fail(err, at(" lacks a string \"name\""));
     }
     if (ph->str != "M") {  // metadata events carry no timestamp
       const json::Value* ts = e.get("ts");
       if (ts == nullptr || !ts->is_number() || ts->num < 0) {
-        if (err != nullptr) *err = at + " lacks a non-negative numeric \"ts\"";
-        return false;
+        return fail(err, at(" lacks a non-negative numeric \"ts\""));
       }
     }
   }

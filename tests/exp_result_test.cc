@@ -64,6 +64,13 @@ TEST(ResultTest, RenderIsDeterministic) {
   EXPECT_EQ(demo_doc().render(), demo_doc().render());
 }
 
+TEST(ResultTest, WriteToUnwritablePathFailsWithReason) {
+  const std::string path = ::testing::TempDir() + "/no_such_dir/r.json";
+  std::string err;
+  EXPECT_FALSE(demo_doc().write(path, &err));
+  EXPECT_NE(err.find("cannot open"), std::string::npos) << err;
+}
+
 TEST(ResultTest, SkippedAndNaCellsValidate) {
   const Sweep s = demo_sweep();
   RunnerOptions o = quiet();

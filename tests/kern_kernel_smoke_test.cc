@@ -356,5 +356,33 @@ TEST(KernelSmoke, UtilizationNearFullWhenComputeBound) {
   EXPECT_LE(util, 100.5);
 }
 
+std::uint64_t counter_value(const Kernel& k, const std::string& name) {
+  for (const auto& c : k.metric_registry().snapshot_counters()) {
+    if (c.name == name) return c.value;
+  }
+  ADD_FAILURE() << "no counter " << name;
+  return 0;
+}
+
+// A task alone on its core does not renew its slice in place: every expiry
+// goes back through the scheduler, which picks the same task again. The
+// re-pick is not a context switch (same task), so only the pick count moves,
+// once per 3 ms slice (CFS sched_latency with one runnable task).
+TEST(KernelSmoke, LoneComputeTaskIsRepickedAtEachSliceExpiry) {
+  if (!obs::kTaskstatsEnabled) GTEST_SKIP() << "metrics compiled out";
+  Kernel k(one_core());
+  runtime::spawn(k, "lone", [](Env env) -> SimThread {
+    co_await env.compute(40_ms);
+    co_return;
+  });
+  k.run_until(10_ms);
+  const std::uint64_t picks = counter_value(k, "sched.rq.picks");
+  const std::uint64_t switches = k.stats().context_switches;
+  k.run_until(10_ms + 8 * 3_ms);
+  EXPECT_EQ(counter_value(k, "sched.rq.picks") - picks, 8u);
+  EXPECT_EQ(k.stats().context_switches, switches);
+  ASSERT_TRUE(k.run_to_exit(1_s));
+}
+
 }  // namespace
 }  // namespace eo

@@ -128,6 +128,10 @@ TEST(FleetAgg, ViolationsAreHostTagged) {
   const MetricsDoc tagged = tag_host_violations(hosts[1].doc, 1);
   ASSERT_EQ(tagged.violation_records.size(), 1u);
   EXPECT_EQ(tagged.violation_records[0].invariant, "host=1 affinity");
+
+  // The tag reaches the exported document.
+  EXPECT_NE(render_fleet(doc, "json").find(R"("invariant":"host=1 affinity")"),
+            std::string::npos);
 }
 
 TEST(FleetAgg, RenderedJsonValidates) {
@@ -150,15 +154,42 @@ TEST(FleetAgg, RenderedJsonValidates) {
   corrupt("\"eo-metrics-fleet\"", "\"eo-metrics\"");   // wrong schema
   corrupt("\"host\":0", "\"host\":7");                 // hosts not 0..n-1
   corrupt("\"host=1 affinity\"", "\"affinity\"");      // untagged violation
+  // The sections shared with eo-metrics (obs_export_test feeds the same
+  // corruptions to validate_metrics_json).
+  corrupt(R"("name":"sched.switches")", R"("label":"sched.switches")");
+  corrupt(R"("p999":3099)", R"("p998":3099)");
+  corrupt(R"("invariant":"host=1 affinity")", R"("rule":"host=1 affinity")");
+  corrupt(R"("records":[)", R"("records":{},"was_records":[)");
+  corrupt(R"("schema_version":1)", R"("schema_version":2)");
 }
 
-TEST(FleetAgg, ReportRendersHostTable) {
+TEST(FleetAgg, JsonRendersExactly) {
+  // Every key, its order and every number's format, including the
+  // host-tagged violation record.
   std::vector<SyntheticHost> hosts;
-  for (int h = 0; h < 2; ++h) hosts.emplace_back(h);
-  const std::string report =
-      render_fleet(merge_in_order(hosts, {1, 0}), "report");
-  EXPECT_NE(report.find("hosts=2"), std::string::npos);
-  EXPECT_NE(report.find("host=1 affinity"), std::string::npos);
+  for (int h = 0; h < 3; ++h) hosts.emplace_back(h);
+  EXPECT_EQ(render_fleet(merge_in_order(hosts, {0, 1, 2}), "json"),
+      R"({"schema":"eo-metrics-fleet","schema_version":1,"n_hosts":3,)"
+      R"("n_cores":4,"interval_ns":1000000,"ticks":33,"dropped_ticks":3,)"
+      R"("counters":[{"name":"sched.switches","value":600},)"
+      R"({"name":"vb.parks","value":42}],"gauges":[{"name":"rq.depth",)"
+      R"("min":1,"mean":3,"max":5}],"histograms":[{"name":"serve.latency",)"
+      R"("count":300,"min":1000,"max":3099,"mean":2049.5,"p50":2111,)"
+      R"("p95":3099,"p99":3099,"p999":3099}],"hosts":[{"host":0,)"
+      R"("issued":1000,"completed":100,"shed":5,"p99_ns":1099,)"
+      R"("queue_p99_ns":0,"service_p99_ns":0,"sched_delay_p99_ns":0,)"
+      R"("mean_rq_depth":1,"vb_park_rate":0,"bwd_skip_rate":0,"ticks":10,)"
+      R"("watchdog_violations":0},{"host":1,"issued":1000,"completed":100,)"
+      R"("shed":5,"p99_ns":2099,"queue_p99_ns":0,"service_p99_ns":0,)"
+      R"("sched_delay_p99_ns":0,"mean_rq_depth":2,"vb_park_rate":0,)"
+      R"("bwd_skip_rate":0,"ticks":11,"watchdog_violations":1},{"host":2,)"
+      R"("issued":1000,"completed":100,"shed":5,"p99_ns":3099,)"
+      R"("queue_p99_ns":0,"service_p99_ns":0,"sched_delay_p99_ns":0,)"
+      R"("mean_rq_depth":3,"vb_park_rate":0,"bwd_skip_rate":0,"ticks":12,)"
+      R"("watchdog_violations":0}],"watchdog":{"checks":150,"violations":1,)"
+      R"("records":[{"ts_ns":123,"invariant":"host=1 affinity",)"
+      R"("detail":"core 2 ran a pinned-away task"}]}})"
+      "\n");
 }
 
 }  // namespace

@@ -99,4 +99,12 @@ TEST(TraceExport, ValidatorRejectsMalformedInput) {
 }
 
 }  // namespace
+
+TEST(TraceExport, UnwritablePathFailsWithReason) {
+  const trace::Trace empty;
+  const std::string path = ::testing::TempDir() + "/no_such_dir/t.csv";
+  std::string err;
+  EXPECT_FALSE(trace::export_to_file(empty, path, "csv", &err));
+  EXPECT_NE(err.find("cannot open"), std::string::npos) << err;
+}
 }  // namespace eo
