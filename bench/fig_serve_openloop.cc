@@ -132,7 +132,8 @@ int main(int argc, char** argv) {
           "open-loop million-connection serving: offered load vs tail latency",
       .default_scale = 0.1,
       .default_seed = 1234,
-      .supports_fleet = true};
+      .supports_fleet = true,
+      .supports_taskstats_export = true};
   const bench::Cli cli = bench::Cli::parse(argc, argv, spec);
 
   std::vector<std::string> arrival_labels;

@@ -101,13 +101,17 @@ std::string Cli::usage(const CliSpec& spec) {
           "--metrics);\n"
           "                       with a path, export the merged document\n";
   }
-  os << "  --taskstats[=<path>] per-task delay accounting: embed the "
-        "eo-taskstats\n"
+  os << (spec.supports_taskstats_export ? "  --taskstats[=<path>]"
+                                         : "  --taskstats         ")
+     << " per-task delay accounting: embed the eo-taskstats\n"
         "                       section in metrics documents (implies "
         "--metrics);\n"
-        "                       with a path, export a folded state "
-        "flamegraph\n"
-     << "  --progress=MODE      live progress feed: none|line|jsonl "
+     << (spec.supports_taskstats_export
+             ? "                       with a path, export a folded state "
+               "flamegraph\n"
+             : "                       this bench writes no folded "
+               "flamegraph\n");
+  os << "  --progress=MODE      live progress feed: none|line|jsonl "
         "(default line)\n"
      << "  --help               show this help\n";
   return os.str();
@@ -211,6 +215,11 @@ bool Cli::parse_into(int argc, char** argv, const CliSpec& spec, Cli* out,
       out->taskstats = true;
       out->metrics = true;
     } else if (arg.rfind("--taskstats=", 0) == 0) {
+      if (!spec.supports_taskstats_export) {
+        *err = "--taskstats=<path>: " + spec.id +
+               " writes no folded export (use --taskstats)";
+        return false;
+      }
       out->taskstats = true;
       out->metrics = true;
       out->taskstats_path = arg.substr(12);

@@ -32,6 +32,9 @@ struct CliSpec {
   /// Whether the bench accepts the --fleet-metrics flag (benches that run a
   /// traffic::ConnectionFleet and can emit an eo-metrics-fleet document).
   bool supports_fleet = false;
+  /// Whether the bench writes a folded state flamegraph for
+  /// --taskstats=<path>; elsewhere only the bare --taskstats is accepted.
+  bool supports_taskstats_export = false;
 };
 
 class Cli {
@@ -68,8 +71,9 @@ class Cli {
   bool fleet_metrics = false;
   std::string fleet_metrics_path;  ///< empty = no standalone export
   /// Per-task delay accounting (--taskstats): embed the `eo-taskstats`
-  /// section in every exported metrics document; with a path, additionally
-  /// export a folded-stack state flamegraph there. Implies --metrics.
+  /// section in every exported metrics document; with a path (benches with
+  /// supports_taskstats_export only), additionally export a folded-stack
+  /// state flamegraph there. Implies --metrics.
   bool taskstats = false;
   std::string taskstats_path;  ///< empty = no folded-stack export
 

@@ -291,8 +291,15 @@ bool validate_result_json(const std::string& text, std::string* err) {
   return true;
 }
 
+#ifndef EO_SOURCE_DIR
+#define EO_SOURCE_DIR "."
+#endif
+
 std::string current_git_rev() {
-  FILE* p = ::popen("git rev-parse HEAD 2>/dev/null", "r");
+  // Ask the source tree, not the working directory, so a bench run from
+  // anywhere records the revision it was built from.
+  FILE* p = ::popen(
+      "git -C '" EO_SOURCE_DIR "' rev-parse HEAD 2>/dev/null", "r");
   if (!p) return "unknown";
   char buf[64] = {0};
   std::string out;

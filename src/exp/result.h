@@ -89,7 +89,8 @@ class ResultDoc {
 /// Structural validation of a rendered result document.
 bool validate_result_json(const std::string& text, std::string* err);
 
-/// `git rev-parse HEAD` of the working tree, or "unknown".
+/// `git rev-parse HEAD` of the source tree this library was built from
+/// (whatever the working directory), or "unknown".
 std::string current_git_rev();
 
 }  // namespace eo::exp

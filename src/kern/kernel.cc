@@ -491,10 +491,6 @@ void Kernel::schedule(Core& c) {
   EO_CHECK(c.current == nullptr);
   EO_CHECK(!c.in_switch);
   if (!c.online) return;
-  if (c.preempt_event != sim::kInvalidEvent) {
-    engine_.cancel(c.preempt_event);
-    c.preempt_event = sim::kInvalidEvent;
-  }
   c.need_resched = false;
 
   sched::SchedEntity* se = policy_->pick_next(c.id);
@@ -867,10 +863,6 @@ void Kernel::deschedule_current(Core& c, bool requeue, bool voluntary) {
     policy_->dequeue(c.id, &t->se);
   }
   c.current = nullptr;
-  if (c.preempt_event != sim::kInvalidEvent) {
-    engine_.cancel(c.preempt_event);
-    c.preempt_event = sim::kInvalidEvent;
-  }
   c.need_resched = false;
 }
 

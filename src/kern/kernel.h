@@ -190,8 +190,6 @@ class Kernel {
 
     /// Pending completion/quantum event for the running task.
     sim::EventId run_event = sim::kInvalidEvent;
-    /// Deferred wakeup-preemption event (min_granularity enforcement).
-    sim::EventId preempt_event = sim::kInvalidEvent;
     /// A kick (idle wake) is already scheduled.
     bool kick_pending = false;
     /// Wakeup preemption requested while current is non-preemptible.

@@ -6,44 +6,8 @@
 namespace eo::obs {
 
 SeriesStore::SeriesStore(int n_cores, std::size_t capacity)
-    : n_cores_(n_cores), capacity_(capacity) {
+    : ticks_(capacity), cores_(capacity, static_cast<std::size_t>(n_cores)) {
   EO_CHECK(n_cores > 0);
-  EO_CHECK(capacity > 0);
-  ticks_.resize(capacity);
-  cores_.resize(capacity * static_cast<std::size_t>(n_cores));
-}
-
-void SeriesStore::push(const TickSample& tick, const CoreSample* cores) {
-  EO_CHECK(capacity_ > 0) << "push into an empty (never-started) store";
-  ticks_[head_] = tick;
-  CoreSample* dst = &cores_[head_ * static_cast<std::size_t>(n_cores_)];
-  for (int i = 0; i < n_cores_; ++i) dst[i] = cores[i];
-  head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
-  if (count_ < capacity_) {
-    ++count_;
-  } else {
-    ++dropped_;
-  }
-}
-
-void SeriesStore::copy_ordered(std::vector<TickSample>* tick_out,
-                               std::vector<CoreSample>* core_out) const {
-  const std::size_t start = count_ == capacity_ ? head_ : 0;
-  for (std::size_t i = 0; i < count_; ++i) {
-    const std::size_t slot = (start + i) % capacity_;
-    if (tick_out) tick_out->push_back(ticks_[slot]);
-    if (core_out) {
-      const CoreSample* src =
-          &cores_[slot * static_cast<std::size_t>(n_cores_)];
-      core_out->insert(core_out->end(), src, src + n_cores_);
-    }
-  }
-}
-
-void SeriesStore::clear() {
-  head_ = 0;
-  count_ = 0;
-  dropped_ = 0;
 }
 
 // series_ stays the default empty store until start() with sampling enabled:

@@ -17,6 +17,8 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/logging.h"
+#include "common/overwrite_ring.h"
 #include "common/units.h"
 #include "sim/engine.h"
 
@@ -72,7 +74,8 @@ struct TickSample {
 };
 
 /// Fixed-capacity ring of frames: one TickSample plus n_cores CoreSamples
-/// per frame, pushed together so the two series stay aligned.
+/// per frame, pushed together so the two series stay aligned. Both rings
+/// are `OverwriteRing`s, so only the frames a run writes become resident.
 class SeriesStore {
  public:
   /// An empty store: capacity 0, accepts no frames. The Sampler starts with
@@ -81,33 +84,30 @@ class SeriesStore {
   /// pay nothing for the ring.
   SeriesStore() = default;
   SeriesStore(int n_cores, std::size_t capacity);
-  SeriesStore(SeriesStore&&) = default;
-  SeriesStore& operator=(SeriesStore&&) = default;
 
-  void push(const TickSample& tick, const CoreSample* cores);
+  void push(const TickSample& tick, const CoreSample* cores) {
+    EO_CHECK(capacity() > 0) << "push into an empty (never-started) store";
+    ticks_.push(tick);
+    cores_.push(cores);
+  }
 
-  int n_cores() const { return n_cores_; }
-  std::size_t capacity() const { return capacity_; }
+  std::size_t capacity() const { return ticks_.capacity(); }
   /// Frames currently retained (<= capacity).
-  std::size_t size() const { return count_; }
+  std::size_t size() const { return ticks_.size(); }
   /// Frames overwritten because the ring was full.
-  std::uint64_t dropped() const { return dropped_; }
+  std::uint64_t dropped() const { return ticks_.dropped(); }
 
   /// Appends the retained frames, oldest first. `core_out` receives the
   /// per-core series frame-major: frame 0's cores 0..n-1, then frame 1's.
   void copy_ordered(std::vector<TickSample>* tick_out,
-                    std::vector<CoreSample>* core_out) const;
-
-  void clear();
+                    std::vector<CoreSample>* core_out) const {
+    if (tick_out) ticks_.copy_ordered(tick_out);
+    if (core_out) cores_.copy_ordered(core_out);
+  }
 
  private:
-  int n_cores_ = 0;
-  std::size_t capacity_ = 0;
-  std::vector<TickSample> ticks_;    ///< capacity entries
-  std::vector<CoreSample> cores_;    ///< capacity * n_cores entries
-  std::size_t head_ = 0;
-  std::size_t count_ = 0;
-  std::uint64_t dropped_ = 0;
+  OverwriteRing<TickSample> ticks_;
+  OverwriteRing<CoreSample> cores_;  ///< stride n_cores
 };
 
 class Sampler {

@@ -12,7 +12,7 @@
 //
 // Suspension protocol: a leaf awaitable either suspends or runs in place.
 //  - ActionAwaiter (compute, spin, futex, epoll, yield, sleep) is for work
-//    that lets simulated time pass. It stores an Action on the Task, records
+//    that lets simulated time pass. It builds an Action on the Task, records
 //    the innermost coroutine handle as the resume point and suspends;
 //    control unwinds to the kernel, which interprets the action and later
 //    resumes the resume point.
@@ -181,22 +181,25 @@ class [[nodiscard]] SimCall<void> {
 };
 
 /// Leaf awaitable for work that lets simulated time pass: hands one Action to
-/// the kernel, suspends, and resumes with its 64-bit result.
+/// the kernel, suspends, and resumes with its 64-bit result. The action is
+/// built straight into `Task::pending` when the awaiter is made (it is
+/// awaited at once, and the kernel reads `pending` only after the suspend):
+/// copying a just-built variant out of the awaiter stalled on store
+/// forwarding.
 class ActionAwaiter {
  public:
-  ActionAwaiter(kern::Task* t, kern::Action action)
-      : t_(t), action_(std::move(action)) {}
+  template <typename A, typename... Args>
+  ActionAwaiter(kern::Task* t, std::in_place_type_t<A>, Args... args)
+      : t_(t) {
+    t->pending.emplace<A>(args...);
+  }
 
   bool await_ready() const noexcept { return false; }
-  void await_suspend(std::coroutine_handle<> h) {
-    t_->resume_point = h;
-    t_->pending = std::move(action_);
-  }
+  void await_suspend(std::coroutine_handle<> h) { t_->resume_point = h; }
   std::uint64_t await_resume() const noexcept { return t_->action_result; }
 
  private:
   kern::Task* t_;
-  kern::Action action_;
 };
 
 /// Leaf awaitable for work that takes no simulated time: runs the action in

@@ -37,12 +37,14 @@ class Env {
   ActionAwaiter compute(SimDuration work,
                         hw::SegmentKind kind = hw::SegmentKind::kRegular,
                         hw::BranchSite site = hw::kVariedSites) const {
-    return {t_, kern::ComputeAction{work, kind, site, -1}};
+    return {t_, std::in_place_type<kern::ComputeAction>, work, kind, site,
+            SimDuration{-1}};
   }
 
   /// Runs a tight register-resident loop (the BWD false-positive shape).
   ActionAwaiter tight_loop(SimDuration work, hw::BranchSite site) const {
-    return {t_, kern::ComputeAction{work, hw::SegmentKind::kTightLoop, site, -1}};
+    return {t_, std::in_place_type<kern::ComputeAction>, work,
+            hw::SegmentKind::kTightLoop, site, SimDuration{-1}};
   }
 
   // --- atomics (take no simulated time; the coroutine does not suspend) ---
@@ -73,8 +75,8 @@ class Env {
   /// (eq/ne/ge/masked_eq or a function pointer) — no per-spin allocation.
   ActionAwaiter spin_until(kern::SimWord* w, kern::SpinPredicate pred,
                            hw::BranchSite site, bool uses_pause = false) const {
-    return {t_, kern::SpinUntilAction{w, pred, site, uses_pause,
-                                      -1, false, 0}};
+    return {t_, std::in_place_type<kern::SpinUntilAction>, w, pred, site,
+            uses_pause, SimTime{-1}, false, SimDuration{0}};
   }
 
   /// Bounded spin: gives up after `timeout`; resumes with 1 on success, 0 on
@@ -82,8 +84,8 @@ class Env {
   ActionAwaiter spin_until_timeout(kern::SimWord* w, kern::SpinPredicate pred,
                                    hw::BranchSite site, SimDuration timeout,
                                    bool uses_pause = false) const {
-    return {t_, kern::SpinUntilAction{w, pred, site, uses_pause,
-                                      k_->now() + timeout, false, 0}};
+    return {t_, std::in_place_type<kern::SpinUntilAction>, w, pred, site,
+            uses_pause, k_->now() + timeout, false, SimDuration{0}};
   }
   /// Convenience: spin until the word equals `v`.
   ActionAwaiter spin_until_eq(kern::SimWord* w, std::uint64_t v,
@@ -95,26 +97,28 @@ class Env {
   // --- blocking ---
   /// Returns 0 if woken by futex_wake, 1 on EWOULDBLOCK.
   ActionAwaiter futex_wait(kern::SimWord* w, std::uint64_t expected) const {
-    return {t_, kern::FutexWaitAction{w, expected}};
+    return {t_, std::in_place_type<kern::FutexWaitAction>, w, expected};
   }
   /// Returns the number of waiters woken.
   ActionAwaiter futex_wake(kern::SimWord* w, int n) const {
-    return {t_, kern::FutexWakeAction{w, n}};
+    return {t_, std::in_place_type<kern::FutexWakeAction>, w, n};
   }
   static constexpr int kWakeAll = 1 << 20;
 
   /// Returns the posted event payload.
   ActionAwaiter epoll_wait(int epfd) const {
-    return {t_, kern::EpollWaitAction{epfd}};
+    return {t_, std::in_place_type<kern::EpollWaitAction>, epfd};
   }
   ActionAwaiter epoll_post(int epfd, std::uint64_t data) const {
-    return {t_, kern::EpollPostAction{epfd, data}};
+    return {t_, std::in_place_type<kern::EpollPostAction>, epfd, data};
   }
 
   // --- scheduling ---
-  ActionAwaiter yield() const { return {t_, kern::YieldAction{}}; }
+  ActionAwaiter yield() const {
+    return {t_, std::in_place_type<kern::YieldAction>};
+  }
   ActionAwaiter sleep(SimDuration d) const {
-    return {t_, kern::SleepAction{d}};
+    return {t_, std::in_place_type<kern::SleepAction>, d};
   }
   InlineAwaiter set_mem_profile(const hw::MemProfile& p) const {
     return {k_, t_, kern::SetMemProfileAction{p}};

@@ -68,19 +68,6 @@ const char* to_string(EventKind k) {
   return "?";
 }
 
-TraceRing::TraceRing(std::size_t capacity) : buf_(capacity) {
-  EO_CHECK_GT(capacity, 0u);
-}
-
-void TraceRing::copy_ordered(std::vector<TraceEvent>* out) const {
-  if (count_ == 0) return;
-  // Oldest record: right after head when full, slot 0 otherwise.
-  const std::size_t start = count_ == buf_.size() ? head_ : 0;
-  for (std::size_t i = 0; i < count_; ++i) {
-    out->push_back(buf_[(start + i) % buf_.size()]);
-  }
-}
-
 Tracer::Tracer(const sim::Engine* engine, int n_cores, TraceConfig cfg)
     : engine_(engine), n_cores_(n_cores), ring_capacity_(cfg.ring_capacity) {
   EO_CHECK(engine != nullptr);

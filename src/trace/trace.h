@@ -7,8 +7,9 @@
 //  * compile-time gate — with `EO_TRACE=OFF` (CMake) the `EO_TRACE_EVENT`
 //    macro expands to nothing, so instrumented code carries zero cost;
 //  * runtime gate — with tracing compiled in but disabled, `Tracer::emit`
-//    is a single predicted branch; ring storage is only allocated once
-//    tracing is enabled;
+//    is a single predicted branch; ring storage is only reserved once
+//    tracing is enabled, and a page of it is touched only when an event
+//    lands there;
 //  * fixed-capacity rings — emission never allocates; when a ring wraps the
 //    oldest records are overwritten and counted as dropped.
 //
@@ -24,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/overwrite_ring.h"
 #include "common/units.h"
 #include "sim/engine.h"
 
@@ -78,7 +80,7 @@ enum class EventKind : std::uint16_t {
 const char* to_string(EventKind k);
 
 /// One trace record. POD, 32 bytes; the emit fast path is a branch plus a
-/// store of this struct into a preallocated ring slot.
+/// store of this struct into a reserved ring slot.
 struct TraceEvent {
   SimTime ts = 0;           ///< engine time at emission (ns)
   std::int32_t tid = 0;     ///< task id, 0 if none
@@ -96,41 +98,9 @@ struct TraceConfig {
   std::size_t ring_capacity = 1u << 16;
 };
 
-/// Fixed-capacity overwrite-oldest ring of TraceEvents.
-class TraceRing {
- public:
-  explicit TraceRing(std::size_t capacity);
-
-  void push(const TraceEvent& e) {
-    buf_[head_] = e;
-    head_ = head_ + 1 == buf_.size() ? 0 : head_ + 1;
-    if (count_ < buf_.size()) {
-      ++count_;
-    } else {
-      ++dropped_;
-    }
-  }
-
-  std::size_t capacity() const { return buf_.size(); }
-  std::size_t size() const { return count_; }
-  /// Events overwritten because the ring was full.
-  std::uint64_t dropped() const { return dropped_; }
-
-  /// Appends the retained events, oldest first, to `out`.
-  void copy_ordered(std::vector<TraceEvent>* out) const;
-
-  void clear() {
-    head_ = 0;
-    count_ = 0;
-    dropped_ = 0;
-  }
-
- private:
-  std::vector<TraceEvent> buf_;
-  std::size_t head_ = 0;   ///< next write position
-  std::size_t count_ = 0;  ///< events retained (<= capacity)
-  std::uint64_t dropped_ = 0;
-};
+/// Per-core ring of TraceEvents: fixed capacity, overwrite-oldest, drops
+/// counted, storage written only as events arrive.
+using TraceRing = OverwriteRing<TraceEvent>;
 
 /// A finished trace: merged, time-ordered events plus labeling metadata.
 struct Trace {
@@ -150,7 +120,7 @@ class Tracer {
   Tracer(const sim::Engine* engine, int n_cores, TraceConfig cfg);
 
   bool enabled() const { return enabled_; }
-  /// Enabling allocates the rings on first use; disabling keeps them.
+  /// Enabling reserves the rings on first use; disabling keeps them.
   void set_enabled(bool on);
 
   void emit(int core, EventKind kind, std::int32_t tid, std::uint64_t arg0 = 0,

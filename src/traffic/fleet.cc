@@ -33,7 +33,8 @@ ServeHost::ServeHost(kern::Kernel& k, const ServeHostConfig& cfg,
       cfg_(cfg),
       conns_(conns),
       arrival_(arrival, Rng(seed).next_u64()),
-      rng_(Rng(seed ^ 0x746661726369ull).next_u64()) {
+      rng_(Rng(seed ^ 0x746661726369ull).next_u64()),
+      slab_(cfg.max_pending) {
   EO_CHECK(cfg_.n_workers > 0);
   EO_CHECK(cfg_.n_connections > 0);
   EO_CHECK(cfg_.max_pending > 0);
@@ -42,13 +43,6 @@ ServeHost::ServeHost(kern::Kernel& k, const ServeHostConfig& cfg,
   copy_cost_ = static_cast<SimDuration>(
       cfg_.copy_ns_per_byte * static_cast<double>(cfg_.value_bytes));
   epfd_ = k_.epoll_create();
-  // Build the slab with its free list fully chained; the request path only
-  // ever pops/pushes the head.
-  slab_.resize(cfg_.max_pending);
-  for (std::uint32_t i = 0; i < cfg_.max_pending; ++i) {
-    slab_[i].next_free = i + 1 < cfg_.max_pending ? i + 1 : kNoSlot;
-  }
-  free_head_ = 0;
 }
 
 void ServeHost::start(SimTime inject_until) {
@@ -86,7 +80,13 @@ void ServeHost::start(SimTime inject_until) {
                      co_return;
                    });
   }
+  draw_next_conn();
   schedule_arrival(arrival_.next_after(k_.now()));
+}
+
+void ServeHost::draw_next_conn() {
+  next_conn_ = static_cast<std::uint32_t>(rng_.next_below(cfg_.n_connections));
+  __builtin_prefetch(&conns_[next_conn_], 1);
 }
 
 void ServeHost::schedule_arrival(SimTime at) {
@@ -99,21 +99,20 @@ void ServeHost::schedule_arrival(SimTime at) {
 }
 
 void ServeHost::inject(SimTime now) {
-  const auto ci = static_cast<std::uint32_t>(
-      rng_.next_below(cfg_.n_connections));
+  const std::uint32_t ci = next_conn_;
   Connection& conn = conns_[ci];
-  if (free_head_ == kNoSlot) {
+  const std::uint32_t slot = slab_.claim();
+  if (slot == RequestSlab::kNoSlot) {
     // Slab full: shed (open-loop overload; never queue outside the model).
     ++shed_;
     if (conn.shed != 0xffffu) ++conn.shed;
+    draw_next_conn();
     return;
   }
-  const std::uint32_t slot = free_head_;
   PendingRequest& req = slab_[slot];
-  free_head_ = req.next_free;
-  ++live_slots_;
   req.arrival = now;
   req.conn_and_op = ci | (rng_.chance(cfg_.set_fraction) ? kOpSetBit : 0);
+  draw_next_conn();
   ++conn.issued;
   ++conn.inflight;
   ++issued_;
@@ -184,9 +183,7 @@ void ServeHost::complete(std::uint32_t slot, SimTime now, int worker,
   conn.last_latency_us = static_cast<std::uint32_t>(
       std::min<SimDuration>(lat / 1000, 0xffffffff));
   ++completed_;
-  req.next_free = free_head_;
-  free_head_ = slot;
-  --live_slots_;
+  slab_.release(slot);
 }
 
 void ServeHost::stop() {

@@ -11,12 +11,13 @@
 //    of n_hosts * conns_per_host of them resident for the whole sweep, so a
 //    million connections cost 16 MB and a connection id is just an index.
 //  * In-flight requests live in a per-host `PendingRequest` slot slab (the
-//    engine's free-list idiom): posting a request allocates a slot, the
-//    epoll payload is the slot index, completion frees it. The steady state
-//    performs no heap allocation anywhere on the request path — arrival
-//    draw, epoll post, worker wake, service, histogram record, slot free.
-//  * When the slab is exhausted the host sheds the arrival (counted, never
-//    queued) — the open-loop analogue of a full accept queue.
+//    engine's free-list idiom): posting a request takes a slot, the epoll
+//    payload is the slot index, completion frees it. The slab is reserved
+//    up front and filled on demand (`RequestSlab`), so the request path
+//    performs no heap allocation anywhere — arrival draw, epoll post,
+//    worker wake, service, histogram record, slot free.
+//  * When every slot is in flight the host sheds the arrival (counted,
+//    never queued) — the open-loop analogue of a full accept queue.
 //
 // Hosts are simulated independently and deterministically: host h's kernel
 // and arrival stream are seeded from (fleet seed, h), so the fleet result is
@@ -31,6 +32,7 @@
 #include <vector>
 
 #include "common/histogram.h"
+#include "common/mapped_allocator.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "kern/kernel.h"
@@ -118,6 +120,51 @@ struct PendingRequest {
 };
 static_assert(sizeof(PendingRequest) == 24, "request slot must stay packed");
 
+/// A host's request slots, reserved (mapped) for `max_slots` and filled on
+/// demand: claim() returns the most recently released slot, else the next
+/// never-used one, so a host writes only as many slots as it ever has in
+/// flight at once. The storage never moves, so slot references stay valid.
+class RequestSlab {
+ public:
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+
+  explicit RequestSlab(std::uint32_t max_slots) : max_slots_(max_slots) {
+    slots_.reserve(max_slots);
+  }
+
+  /// A free slot, or kNoSlot when all `max_slots` are in flight.
+  std::uint32_t claim() {
+    std::uint32_t slot = free_head_;
+    if (slot != kNoSlot) {
+      free_head_ = slots_[slot].next_free;
+    } else if (slots_.size() < max_slots_) {
+      slot = static_cast<std::uint32_t>(slots_.size());
+      slots_.emplace_back();
+    } else {
+      return kNoSlot;
+    }
+    ++live_;
+    return slot;
+  }
+  void release(std::uint32_t slot) {
+    slots_[slot].next_free = free_head_;
+    free_head_ = slot;
+    --live_;
+  }
+
+  PendingRequest& operator[](std::uint32_t slot) { return slots_[slot]; }
+  /// Slots in flight.
+  std::uint32_t live() const { return live_; }
+  /// Slots ever claimed: the part of the reservation that was written.
+  std::size_t touched() const { return slots_.size(); }
+
+ private:
+  std::vector<PendingRequest, MappedAllocator<PendingRequest>> slots_;
+  std::uint32_t max_slots_;
+  std::uint32_t free_head_ = kNoSlot;  ///< released slots, LIFO
+  std::uint32_t live_ = 0;
+};
+
 struct ServeHostConfig {
   /// Worker threads blocking in epoll_wait (libevent style). The headline
   /// scenario oversubscribes: 16 workers on 8 cores.
@@ -174,15 +221,13 @@ class ServeHost {
   std::uint64_t completed() const { return completed_; }
   std::uint64_t shed() const { return shed_; }
   /// Request slots currently in flight.
-  std::uint32_t pending() const { return live_slots_; }
+  std::uint32_t pending() const { return slab_.live(); }
   int epoll_fd() const { return epfd_; }
   /// Windowed critical-path decomposition of completed-request latency.
   /// All-zero (except `requests`) when metrics are compiled out.
   const BlameBreakdown& blame() const { return blame_; }
 
  private:
-  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
-
   /// Per-worker blame bookkeeping. A worker serves one request start-to-
   /// finish, so the in-flight request's critical-path record is per-worker
   /// state, sized once at start() — nothing per-request is allocated.
@@ -192,6 +237,10 @@ class ServeHost {
     obs::TaskDelaySnapshot deq_snap;  ///< taken when the wait returned
   };
 
+  /// Draws the connection of the next arrival and prefetches its record:
+  /// a random 16-byte record in the host's slice is a cache miss, and the
+  /// draw stays in the order the arrivals consume it.
+  void draw_next_conn();
   void schedule_arrival(SimTime at);
   void inject(SimTime now);
   void complete(std::uint32_t slot, SimTime now, int worker,
@@ -203,9 +252,8 @@ class ServeHost {
   int epfd_ = -1;
   ArrivalProcess arrival_;
   Rng rng_;  ///< connection pick + GET/SET draw
-  std::vector<PendingRequest> slab_;
-  std::uint32_t free_head_ = kNoSlot;
-  std::uint32_t live_slots_ = 0;
+  std::uint32_t next_conn_ = 0;  ///< the next arrival's connection
+  RequestSlab slab_;
   SimTime inject_until_ = 0;
   /// Ideal value-copy cost, precomputed once so the worker loop and the
   /// attribution in complete() always agree on a request's ideal CPU cost.

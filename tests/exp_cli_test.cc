@@ -203,5 +203,33 @@ TEST(CliTest, UsageMentionsTraceFlagsOnlyWhenSupported) {
   EXPECT_NE(plain.find("--json"), std::string::npos);
 }
 
+TEST(CliTest, TaskstatsPathOnlyWhereTheBenchExportsIt) {
+  std::string err;
+  // Every bench accepts bare --taskstats, which implies --metrics.
+  Cli bare;
+  ASSERT_TRUE(try_parse({"--taskstats"}, plain_spec(), &bare, &err)) << err;
+  EXPECT_TRUE(bare.taskstats);
+  EXPECT_TRUE(bare.metrics);
+  EXPECT_TRUE(bare.taskstats_path.empty());
+  // A path on a bench that writes no folded export is an error, not ignored.
+  Cli refused;
+  EXPECT_FALSE(try_parse({"--taskstats=x.folded"}, plain_spec(), &refused,
+                         &err));
+  EXPECT_NE(err.find("--taskstats"), std::string::npos);
+  EXPECT_NE(err.find("bench_under_test"), std::string::npos);
+  CliSpec exporting = plain_spec();
+  exporting.supports_taskstats_export = true;
+  Cli accepted;
+  ASSERT_TRUE(try_parse({"--taskstats=x.folded"}, exporting, &accepted, &err))
+      << err;
+  EXPECT_EQ(accepted.taskstats_path, "x.folded");
+  // The usage text offers the path only where it is written.
+  EXPECT_NE(Cli::usage(exporting).find("--taskstats[=<path>]"),
+            std::string::npos);
+  EXPECT_EQ(Cli::usage(plain_spec()).find("--taskstats[=<path>]"),
+            std::string::npos);
+  EXPECT_NE(Cli::usage(plain_spec()).find("--taskstats"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace eo

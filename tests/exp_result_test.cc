@@ -3,6 +3,8 @@
 // validator must reject documents that drift from the schema.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "exp/result.h"
 #include "exp/runner.h"
 #include "exp/sweep.h"
@@ -249,6 +251,19 @@ TEST(ResultValidatorTest, RejectsEmptySweepsAndBadScale) {
       full_cell("x") + "]}]}";
   EXPECT_FALSE(validate_result_json(bad_scale, &err));
   EXPECT_NE(err.find("scale"), std::string::npos);
+}
+
+TEST(ResultTest, GitRevDoesNotDependOnTheWorkingDirectory) {
+  const std::string here = exp::current_git_rev();
+  if (here == "unknown") {
+    GTEST_SKIP() << "git is absent or the sources are not a git checkout";
+  }
+  EXPECT_EQ(here.size(), 40u);
+  const std::filesystem::path cwd = std::filesystem::current_path();
+  std::filesystem::current_path(std::filesystem::temp_directory_path());
+  const std::string elsewhere = exp::current_git_rev();
+  std::filesystem::current_path(cwd);
+  EXPECT_EQ(elsewhere, here);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -249,6 +250,50 @@ TEST(Fleet, ParallelRunMatchesSequential) {
   EXPECT_EQ(ra.fleet_metrics->hosts.size(), 4u);
   EXPECT_EQ(obs::render_fleet(*ra.fleet_metrics, "json"),
             obs::render_fleet(*rb.fleet_metrics, "json"));
+}
+
+TEST(Fleet, RequestSlabHandsOutSlotsInThePreChainedOrder) {
+  // Reference: a slab whose free list is chained 0, 1, ..., max-1 up front
+  // and takes and returns slots at its head. The on-demand slab must hand
+  // out the same slot for every claim, so the epoll payloads, and with them
+  // the whole simulation, are unchanged.
+  constexpr std::uint32_t kMax = 64;
+  std::vector<std::uint32_t> ref_next(kMax);
+  for (std::uint32_t i = 0; i < kMax; ++i) ref_next[i] = i + 1;
+  std::uint32_t ref_head = 0;  // kMax = empty
+
+  RequestSlab slab(kMax);
+  Rng rng(5);
+  std::vector<std::uint32_t> live;
+  std::size_t peak = 0;
+  for (int step = 0; step < 20000; ++step) {
+    // Drift between filling the slab and draining it, so both the shed
+    // path and long LIFO reuse chains are exercised.
+    const bool fill = (step / 500) % 2 == 0;
+    if (rng.chance(fill ? 0.7 : 0.3)) {
+      const std::uint32_t got = slab.claim();
+      if (ref_head == kMax) {
+        ASSERT_EQ(got, RequestSlab::kNoSlot) << "step " << step;
+        continue;
+      }
+      ASSERT_EQ(got, ref_head) << "step " << step;
+      ref_head = ref_next[got];
+      live.push_back(got);
+    } else if (!live.empty()) {
+      const std::size_t pick = rng.next_below(live.size());
+      const std::uint32_t slot = live[pick];
+      live[pick] = live.back();
+      live.pop_back();
+      slab.release(slot);
+      ref_next[slot] = ref_head;
+      ref_head = slot;
+    }
+    ASSERT_EQ(slab.live(), live.size());
+    peak = std::max(peak, live.size());
+    // Only slots ever in flight at once have been written.
+    ASSERT_EQ(slab.touched(), peak);
+  }
+  EXPECT_EQ(peak, kMax);
 }
 
 }  // namespace
