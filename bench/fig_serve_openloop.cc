@@ -161,9 +161,8 @@ int main(int argc, char** argv) {
 
   // One sink shared by the runner (cell events) and every fleet (host
   // events), so the feed is a single interleaved stream.
-  std::shared_ptr<obs::ProgressSink> sink = cli.progress_sink();
-  exp::RunnerOptions ropts = cli.runner_options();
-  ropts.sink = sink;
+  const exp::RunnerOptions ropts = cli.runner_options();
+  obs::ProgressSink* sink = ropts.sink.get();
   exp::ExperimentRunner runner(sweep, ropts);
   if (cli.list) {
     runner.list(std::cout);
@@ -179,7 +178,7 @@ int main(int argc, char** argv) {
   const exp::Outcomes out = runner.run(
       [&](const exp::Cell& cell, const metrics::RunConfig& cfg) {
         return run_one(cell, kArrivals[cell.at(0)], kLoads[cell.at(2)].frac,
-                       cfg, cli.seed, cli.scale, cli.jobs, sink.get(),
+                       cfg, cli.seed, cli.scale, cli.jobs, sink,
                        cli.metrics ? &fleet_docs : nullptr,
                        cli.taskstats ? &taskstats_docs : nullptr);
       });

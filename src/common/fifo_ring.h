@@ -65,21 +65,6 @@ class FifoRing {
     return buf_[wrap(head_ + i)];
   }
 
-  /// Removes the first element matching `pred`, preserving FIFO order of the
-  /// rest. Returns true if one was removed. O(n) — for rare teardown paths
-  /// (waiter removal on task exit), never the steady state.
-  template <typename Pred>
-  bool erase_first(Pred pred) {
-    for (std::size_t i = 0; i < count_; ++i) {
-      if (!pred(at(i))) continue;
-      for (std::size_t j = i; j + 1 < count_; ++j) at(j) = std::move(at(j + 1));
-      buf_[wrap(head_ + count_ - 1)] = T{};
-      --count_;
-      return true;
-    }
-    return false;
-  }
-
   void clear() {
     for (std::size_t i = 0; i < count_; ++i) at(i) = T{};
     head_ = 0;

@@ -5,27 +5,14 @@
 namespace eo::epollsim {
 
 int EpollTable::create() {
-  const int id = static_cast<int>(instances_.size());
-  instances_.emplace_back();
-  instances_.back().id = id;
-  return id;
+  instances_.push_back(std::make_unique<EpollInstance>());
+  return static_cast<int>(instances_.size()) - 1;
 }
 
 EpollInstance& EpollTable::get(int epfd) {
   EO_CHECK(epfd >= 0 && epfd < static_cast<int>(instances_.size()))
       << "bad epoll fd " << epfd;
-  return instances_[static_cast<size_t>(epfd)];
-}
-
-const EpollInstance& EpollTable::get(int epfd) const {
-  EO_CHECK(epfd >= 0 && epfd < static_cast<int>(instances_.size()))
-      << "bad epoll fd " << epfd;
-  return instances_[static_cast<size_t>(epfd)];
-}
-
-bool EpollTable::remove_waiter(EpollInstance& ep, const kern::Task* task) {
-  return ep.waiters.erase_first(
-      [task](const EpollWaiter& w) { return w.task == task; });
+  return *instances_[static_cast<size_t>(epfd)];
 }
 
 }  // namespace eo::epollsim

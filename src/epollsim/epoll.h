@@ -6,86 +6,47 @@
 // the paper implemented ("we implemented VB in epoll by removing the sleep
 // queue and emulating sleeping via schedule skipping") — by VB parking.
 //
-// As with futex, orchestration lives in the Kernel; this module owns the
-// instance table.
+// An instance's wait queue is the futex one: a KLock plus an intrusive
+// futex::WaiterList of the blocked tasks' embedded links, each carrying the
+// vb choice made at wait time. As with futex, orchestration lives in the
+// Kernel; this module owns the instance table.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/fifo_ring.h"
+#include "futex/waiter_link.h"
 #include "kern/klock.h"
-#include "obs/metrics.h"
-#include "trace/trace.h"
-
-namespace eo::kern {
-struct Task;
-}
 
 namespace eo::epollsim {
 
-struct EpollWaiter {
-  kern::Task* task = nullptr;
-  bool vb = false;
-};
-
 struct EpollInstance {
-  int id = -1;
   kern::KLock lock;
   /// Posted-but-unconsumed event payloads (FIFO). A ring, not a deque: the
   /// open-loop serving path posts and consumes millions of events per run,
   /// and deque block churn would put heap traffic on every request.
   FifoRing<std::uint64_t> ready;
-  /// Tasks blocked in epoll_wait (FIFO).
-  FifoRing<EpollWaiter> waiters;
-  /// Diagnostics.
-  std::uint64_t posted = 0;
-  std::uint64_t consumed = 0;
+  /// Tasks blocked in epoll_wait, oldest first (their embedded links).
+  futex::WaiterList waiters;
 };
 
 class EpollTable {
  public:
-  /// Wires the event tracer (may be null).
-  void set_tracer(trace::Tracer* t) { tracer_ = t; }
-
-  /// Wires the metric counters: instance-lock acquisitions and the
-  /// contended subset.
-  void set_metrics(obs::Counter locks, obs::Counter contended) {
-    m_locks_ = locks;
-    m_contended_ = contended;
-  }
+  /// The instance locks' counted, traced acquire (kEpollLock records).
+  kern::TracedLocks& locks() { return locks_; }
 
   /// Creates a new instance; returns its fd.
   int create();
 
   EpollInstance& get(int epfd);
-  const EpollInstance& get(int epfd) const;
-
-  /// Acquires the instance lock at `now` for `hold`, tracing the queueing
-  /// delay as a kEpollLock record attributed to `core`/`tid`. Returns the
-  /// wait time; the caller's total cost is wait + hold. Inline for the same
-  /// reason as FutexTable::lock_bucket.
-  SimDuration lock_instance(EpollInstance& ep, SimTime now, SimDuration hold,
-                            int core, std::int32_t tid) {
-    const SimDuration wait = ep.lock.acquire(now, hold);
-    m_locks_.inc();
-    if (wait > 0) m_contended_.inc();
-    EO_TRACE_EVENT(tracer_, core, trace::EventKind::kEpollLock, tid,
-                   static_cast<std::uint64_t>(wait),
-                   static_cast<std::uint64_t>(hold));
-    return wait;
-  }
-
-  /// Removes a specific waiter. Returns true if found.
-  bool remove_waiter(EpollInstance& ep, const kern::Task* task);
-
-  std::size_t size() const { return instances_.size(); }
 
  private:
-  std::vector<EpollInstance> instances_;
-  trace::Tracer* tracer_ = nullptr;
-  obs::Counter m_locks_;
-  obs::Counter m_contended_;
+  /// One heap object per instance: a WaiterList pins its address, and a
+  /// kernel that never calls epoll_create allocates nothing here.
+  std::vector<std::unique_ptr<EpollInstance>> instances_;
+  kern::TracedLocks locks_{trace::EventKind::kEpollLock};
 };
 
 }  // namespace eo::epollsim

@@ -46,18 +46,11 @@ std::string policy_list() {
 
 }  // namespace
 
-std::shared_ptr<obs::ProgressSink> Cli::progress_sink() const {
-  return obs::make_progress_sink(progress);
-}
-
 RunnerOptions Cli::runner_options() const {
   RunnerOptions o;
   o.jobs = jobs;
   o.filter = filter;
-  o.progress = progress != "none";
-  // "line" keeps the runner's own stderr lines (byte-identical to the line
-  // sink's cell events); only the structured mode needs a sink here.
-  if (progress == "jsonl") o.sink = progress_sink();
+  o.sink = obs::make_progress_sink(progress);
   return o;
 }
 

@@ -79,14 +79,9 @@ class Cli {
 
   bool tracing() const { return !trace_path.empty(); }
 
-  /// The sink for `--progress` ("none" returns null). Each call builds a
-  /// fresh sink; benches that feed both the runner and a fleet should call
-  /// once and share it.
-  std::shared_ptr<obs::ProgressSink> progress_sink() const;
-
-  /// Runner options carrying jobs/filter plus the progress configuration:
-  /// "line" keeps the runner's own stderr lines, "jsonl" attaches a JSONL
-  /// sink, "none" silences the feed.
+  /// Runner options carrying jobs/filter and a fresh sink for `--progress`
+  /// (null for "none"). A bench that also feeds fleets hands them this sink,
+  /// so the feed stays one stream.
   RunnerOptions runner_options() const;
 
   /// Usage text for the spec (the --help / error output).

@@ -1,6 +1,5 @@
 #include "exp/runner.h"
 
-#include <cstdio>
 #include <mutex>
 #include <ostream>
 
@@ -72,7 +71,7 @@ Outcomes ExperimentRunner::run(const RunFn& fn) const {
     }
   }
 
-  std::mutex progress_mu;
+  std::mutex done_mu;
   std::size_t done = 0;
   obs::ProgressSink* sink = opts_.sink.get();
   ThreadPool::parallel_for(
@@ -106,33 +105,19 @@ Outcomes ExperimentRunner::run(const RunFn& fn) const {
         o.attempts = attempt;
         o.final_deadline = cfg.deadline;
         if (sink != nullptr) {
-          std::size_t done_now;
-          {
-            std::lock_guard<std::mutex> lk(progress_mu);
-            done_now = ++done;
-          }
           obs::ProgressEvent ev;
           ev.kind = obs::ProgressEvent::Kind::kCellFinish;
           ev.label = o.cell.id();
-          ev.done = done_now;
           ev.total = active.size();
           ev.not_applicable = o.not_applicable;
           ev.ok = o.run.completed;
           ev.exec_ms = o.ms();
           ev.attempts = o.attempts;
+          // Count and emit under one lock so `done` reaches the feed in
+          // order.
+          std::lock_guard<std::mutex> lk(done_mu);
+          ev.done = ++done;
           sink->emit(ev);
-        } else if (opts_.progress) {
-          std::lock_guard<std::mutex> lk(progress_mu);
-          ++done;
-          if (o.not_applicable) {
-            std::fprintf(stderr, "[%zu/%zu] %s: n/a\n", done, active.size(),
-                         o.cell.id().c_str());
-          } else {
-            std::fprintf(stderr, "[%zu/%zu] %s: %s exec=%.2fms%s\n", done,
-                         active.size(), o.cell.id().c_str(),
-                         o.run.completed ? "ok" : "INCOMPLETE", o.ms(),
-                         o.attempts > 1 ? " (retried)" : "");
-          }
         }
       },
       opts_.jobs);

@@ -78,12 +78,9 @@ struct RunnerOptions {
   int max_attempts = 3;
   /// Deadline multiplier applied on each retry.
   double deadline_factor = 4.0;
-  /// Stream per-cell progress lines to stderr.
-  bool progress = true;
-  /// Structured progress feed (cell started/finished). When set it replaces
-  /// the stderr lines above — the line emitter reproduces them verbatim —
-  /// and benches can hand the same sink to their fleets for host-level
-  /// events. Shared: the runner emits from its worker threads.
+  /// Progress feed (cell started/finished); null runs silently. Benches can
+  /// hand the same sink to their fleets for host-level events. Shared: the
+  /// runner emits from its worker threads.
   std::shared_ptr<obs::ProgressSink> sink;
 };
 

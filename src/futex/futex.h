@@ -15,8 +15,6 @@
 
 #include "futex/waiter_link.h"
 #include "kern/klock.h"
-#include "obs/metrics.h"
-#include "trace/trace.h"
 
 namespace eo::kern {
 struct Task;
@@ -37,34 +35,12 @@ class FutexTable {
  public:
   explicit FutexTable(std::size_t n_buckets = 256);
 
-  /// Wires the event tracer (may be null).
-  void set_tracer(trace::Tracer* t) { tracer_ = t; }
-
-  /// Wires the metric counters: bucket-lock acquisitions and the contended
-  /// subset (nonzero queueing delay — the paper's wakeup-path serialization).
-  void set_metrics(obs::Counter locks, obs::Counter contended) {
-    m_locks_ = locks;
-    m_contended_ = contended;
-  }
+  /// The bucket locks' counted, traced acquire (kFutexBucketLock records:
+  /// the paper's wakeup-path serialization cost).
+  kern::TracedLocks& locks() { return locks_; }
 
   /// The bucket a word hashes to (stable for the word's lifetime).
   Bucket& bucket_for(const kern::SimWord* word);
-
-  /// Acquires the bucket lock at `now` for `hold`, tracing the queueing
-  /// delay (the paper's wakeup-path serialization cost) as a
-  /// kFutexBucketLock record attributed to `core`/`tid`. Returns the wait
-  /// time; the caller's total cost is wait + hold. Inline: this sits on the
-  /// futex fast path and must cost one predicted branch when tracing is off.
-  SimDuration lock_bucket(Bucket& b, SimTime now, SimDuration hold, int core,
-                          std::int32_t tid) {
-    const SimDuration wait = b.lock.acquire(now, hold);
-    m_locks_.inc();
-    if (wait > 0) m_contended_.inc();
-    EO_TRACE_EVENT(tracer_, core, trace::EventKind::kFutexBucketLock, tid,
-                   static_cast<std::uint64_t>(wait),
-                   static_cast<std::uint64_t>(hold));
-    return wait;
-  }
 
   /// Removes a specific task from a bucket (used by requeue-free paths and
   /// tests). Returns true if found.
@@ -77,9 +53,7 @@ class FutexTable {
 
  private:
   std::vector<Bucket> buckets_;
-  trace::Tracer* tracer_ = nullptr;
-  obs::Counter m_locks_;
-  obs::Counter m_contended_;
+  kern::TracedLocks locks_{trace::EventKind::kFutexBucketLock};
 };
 
 }  // namespace eo::futex

@@ -1,16 +1,18 @@
-// Intrusive futex waiter links.
+// Intrusive waiter links: the one wait-queue mechanism of the kernel.
 //
-// A blocked task sits on exactly one wait queue at a time (futex bucket,
-// epoll instance, or an in-flight wake chain), so each Task embeds a single
-// WaiterLink and queue membership is a pointer splice: no node allocation,
-// no deque block churn, O(1) enqueue/dequeue/erase. This is the classic
-// kernel `futex_q`/`wait_queue_entry` layout and what drives the futex
-// round trip and context-switch micros to their ns/item floor.
+// A blocked task sits on exactly one wait queue at a time (a futex bucket,
+// an epoll instance, or an in-flight wake chain), so each Task embeds a
+// single WaiterLink and queue membership is a pointer splice: no node
+// allocation, no deque block churn, O(1) enqueue/dequeue/erase. This is the
+// classic kernel `futex_q`/`wait_queue_entry` layout and what drives the
+// futex and epoll round trips and the context-switch micros to their
+// ns/item floor.
 //
 // The link carries the owning task pointer and the vb flag explicitly
 // (rather than recovering the Task via offsetof) so a WaiterList can be
 // walked without knowing the embedding offset, and so the vb decision made
-// at wait time travels with the waiter into the wake chain.
+// at wait time travels with the waiter from the futex bucket or epoll
+// instance into the wake chain.
 #pragma once
 
 #include <cstddef>
@@ -36,7 +38,8 @@ struct WaiterLink {
 
 /// FIFO list of WaiterLinks around a sentinel node. Not copyable or movable:
 /// the sentinel's self-pointers pin the list's address (buckets live in a
-/// never-reallocated vector; wake chains in a deque).
+/// never-reallocated vector, epoll instances on the heap one by one, wake
+/// chains in a deque).
 class WaiterList {
  public:
   WaiterList() { reset(); }

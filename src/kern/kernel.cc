@@ -53,22 +53,11 @@ Kernel::Kernel(KernelConfig cfg)
     cores_.back()->rng = rng_.split();
   }
   n_online_ = n;
-  futex_.set_tracer(&tracer_);
-  epolls_.set_tracer(&tracer_);
+  futex_.locks().set_tracer(&tracer_);
+  epolls_.locks().set_tracer(&tracer_);
   vb_policy_.set_tracer(&tracer_);
   bwd_.set_tracer(&tracer_);
-  for (int i = 0; i < n; ++i) {
-    Core& c = core(i);
-    c.balance_timer.set_trace(&tracer_, i, sched::TimerId::kBalance);
-    c.bwd_timer.set_trace(&tracer_, i, sched::TimerId::kBwd);
-    // Stagger periodic timers so cores do not balance in lockstep.
-    c.balance_timer.start(&engine_, cfg_.cfs.balance_interval,
-                          i * 200_us, [this, &c] { balance_timer_fire(c); });
-    if (cfg_.features.bwd) {
-      c.bwd_timer.start(&engine_, cfg_.features.bwd_interval, i * 5_us,
-                        [this, &c] { bwd_timer_fire(c); });
-    }
-  }
+  for (int i = 0; i < n; ++i) arm_timers(core(i));
   register_metrics();
   sampler_.start(
       cfg_.metrics,
@@ -159,12 +148,7 @@ void Kernel::set_online_cores(int n) {
     Core& c = core(i);
     if (c.online) continue;
     c.online = true;
-    c.balance_timer.start(&engine_, cfg_.cfs.balance_interval, i * 200_us,
-                          [this, &c] { balance_timer_fire(c); });
-    if (cfg_.features.bwd) {
-      c.bwd_timer.start(&engine_, cfg_.features.bwd_interval, i * 5_us,
-                        [this, &c] { bwd_timer_fire(c); });
-    }
+    arm_timers(c);
   }
   n_online_ = 0;
   for (int i = 0; i < n_cores(); ++i) {
@@ -182,8 +166,7 @@ void Kernel::set_online_cores(int n) {
       continue;
     }
     c.online = false;
-    c.balance_timer.stop();
-    c.bwd_timer.stop();
+    disarm_timers(c);
     if (c.run_event != sim::kInvalidEvent) {
       // Stop whatever is running and requeue it.
       stop_run(c);
@@ -211,17 +194,8 @@ void Kernel::set_online_cores(int n) {
       rr = (dst + 1) % std::max(1, n_online_);
       EO_CHECK_GE(dst, 0);
       Core& d = core(dst);
-      const bool cross = !cfg_.topo.same_socket(c.id, d.id);
-      (cross ? stats_.migrations_cross_node : stats_.migrations_in_node)++;
-      t->resume_penalty = std::max(
-          t->resume_penalty,
-          cache_.migration_penalty(t->mem.working_set, cross) +
-              cfg_.costs.migration_base);
       if (t->pinned && t->pin_cpu == c.id) pinned_violation_ = true;
-      t->last_cpu = dst;
-      EO_TRACE_EVENT(&tracer_, dst, trace::EventKind::kMigration, t->tid,
-                     static_cast<std::uint64_t>(c.id),
-                     static_cast<std::uint64_t>(dst));
+      charge_migration(t, c.id, dst, !cfg_.topo.same_socket(c.id, d.id));
       // Rehome at the destination's fairness floor, like a fresh arrival.
       policy_->place_fresh(dst, se);
       // Post-migration queue wait is attributed to kMigrating until the
@@ -302,10 +276,10 @@ void Kernel::register_metrics() {
   hooks.balance_attempts = r.counter("sched.balance.attempts");
   hooks.balance_pulls = r.counter("sched.balance.pulls");
   policy_->attach(hooks);
-  futex_.set_metrics(r.counter("futex.bucket_locks"),
-                     r.counter("futex.bucket_locks_contended"));
-  epolls_.set_metrics(r.counter("epoll.instance_locks"),
-                      r.counter("epoll.instance_locks_contended"));
+  futex_.locks().set_metrics(r.counter("futex.bucket_locks"),
+                             r.counter("futex.bucket_locks_contended"));
+  epolls_.locks().set_metrics(r.counter("epoll.instance_locks"),
+                              r.counter("epoll.instance_locks_contended"));
   vb_policy_.set_metrics(r.counter("vb.decisions"),
                          r.counter("vb.chose_vb"));
   bwd_.set_metrics(r.counter("bwd.windows_evaluated"),
@@ -973,8 +947,8 @@ void Kernel::perform_inline(Task* t, const InlineAction& action) {
 bool Kernel::handle_futex_wait(Core& c, Task* t, const FutexWaitAction& a) {
   auto& b = futex_.bucket_for(a.word);
   SimDuration cost = cfg_.costs.syscall_entry;
-  cost += futex_.lock_bucket(b, now(), cfg_.costs.bucket_lock_hold, c.id,
-                             t->tid) +
+  cost += futex_.locks().acquire(b.lock, now(), cfg_.costs.bucket_lock_hold,
+                                 c.id, t->tid) +
           cfg_.costs.bucket_lock_hold;
   if (a.word->value_ != a.expected) {
     // EWOULDBLOCK: the value changed; return to userspace.
@@ -990,21 +964,28 @@ bool Kernel::handle_futex_wait(Core& c, Task* t, const FutexWaitAction& a) {
   t->wait_word = a.word;
   EO_TRACE_EVENT(&tracer_, c.id, trace::EventKind::kFutexWait, t->tid,
                  a.word->id_, vb ? 1u : 0u);
-  if (vb) {
+  if (!vb && cfg_.features.vb_futex) ++stats_.vb_fallback_vanilla;
+  park_or_sleep(c, t, cost, obs::TaskDelayState::kFutexBlocked,
+                stats_.futex_sleeps);
+  return false;
+}
+
+void Kernel::park_or_sleep(Core& c, Task* t, SimDuration cost,
+                           obs::TaskDelayState sleep_state,
+                           std::uint64_t& sleeps) {
+  if (t->waiter.vb) {
     ++stats_.vb_parks;
     t->overhead += cost + cfg_.costs.vb_park;
     deschedule_current(c, /*requeue=*/true, /*voluntary=*/true);
     policy_->vb_park(c.id, &t->se);
     set_state(t, obs::TaskDelayState::kVbParked);
   } else {
-    ++stats_.futex_sleeps;
-    if (cfg_.features.vb_futex) ++stats_.vb_fallback_vanilla;
+    ++sleeps;
     t->overhead += cost + cfg_.costs.futex_wait_setup;
     deschedule_current(c, /*requeue=*/false, /*voluntary=*/true);
-    set_state(t, obs::TaskDelayState::kFutexBlocked);
+    set_state(t, sleep_state);
   }
   schedule(c);
-  return false;
 }
 
 bool Kernel::handle_futex_wake(Core& c, Task* t, const FutexWakeAction& a) {
@@ -1030,7 +1011,7 @@ bool Kernel::handle_futex_wake(Core& c, Task* t, const FutexWakeAction& a) {
     }
     l = next;
   }
-  cost += futex_.lock_bucket(b, now(), hold, c.id, t->tid) + hold;
+  cost += futex_.locks().acquire(b.lock, now(), hold, c.id, t->tid) + hold;
   ++stats_.futex_wakes;
   EO_TRACE_EVENT(&tracer_, c.id, trace::EventKind::kFutexWake, t->tid,
                  a.word->id_,
@@ -1155,15 +1136,8 @@ SimDuration Kernel::wake_task_vanilla(Task* t) {
   const bool wake_migrated = t->last_cpu >= 0 && cpu != t->last_cpu;
   if (wake_migrated) {
     ++stats_.wakeup_migrations;
-    const bool cross = !cfg_.topo.same_socket(cpu, t->last_cpu);
-    (cross ? stats_.migrations_cross_node : stats_.migrations_in_node)++;
-    t->resume_penalty = std::max(
-        t->resume_penalty, cache_.migration_penalty(t->mem.working_set,
-                                                    cross) +
-                               cfg_.costs.migration_base);
-    EO_TRACE_EVENT(&tracer_, cpu, trace::EventKind::kMigration, t->tid,
-                   static_cast<std::uint64_t>(t->last_cpu),
-                   static_cast<std::uint64_t>(cpu));
+    charge_migration(t, t->last_cpu, cpu,
+                     !cfg_.topo.same_socket(cpu, t->last_cpu));
   }
   // Cross-CPU wakeup placements charge the post-wake queue wait to
   // kMigrating (the cache-cold dispatch delay); same-CPU wakes to kRunnable.
@@ -1208,86 +1182,73 @@ SimDuration Kernel::wake_task_vb(Task* t) {
 bool Kernel::handle_epoll_wait(Core& c, Task* t, const EpollWaitAction& a) {
   auto& ep = epolls_.get(a.epfd);
   SimDuration cost = cfg_.costs.syscall_entry;
-  cost += epolls_.lock_instance(ep, now(), cfg_.costs.bucket_lock_hold, c.id,
-                                t->tid) +
+  cost += epolls_.locks().acquire(ep.lock, now(), cfg_.costs.bucket_lock_hold,
+                                  c.id, t->tid) +
           cfg_.costs.bucket_lock_hold;
   if (!ep.ready.empty()) {
     const std::uint64_t data = ep.ready.front();
     ep.ready.pop_front();
-    ++ep.consumed;
     t->overhead += cost;
     finish_action(t, data);
     return true;
   }
   const bool vb = vb_policy_.use_vb_epoll(
       static_cast<int>(ep.waiters.size()) + 1, n_online_, c.id, t->tid);
-  ep.waiters.push_back(epollsim::EpollWaiter{t, vb});
+  t->waiter.vb = vb;
+  ep.waiters.push_back(&t->waiter);
   EO_TRACE_EVENT(&tracer_, c.id, trace::EventKind::kEpollWait, t->tid,
                  static_cast<std::uint64_t>(a.epfd), vb ? 1u : 0u);
-  if (vb) {
-    ++stats_.vb_parks;
-    t->overhead += cost + cfg_.costs.vb_park;
-    deschedule_current(c, /*requeue=*/true, /*voluntary=*/true);
-    policy_->vb_park(c.id, &t->se);
-    set_state(t, obs::TaskDelayState::kVbParked);
-  } else {
-    ++stats_.epoll_sleeps;
-    t->overhead += cost + cfg_.costs.futex_wait_setup;
-    deschedule_current(c, /*requeue=*/false, /*voluntary=*/true);
-    set_state(t, obs::TaskDelayState::kEpollBlocked);
-  }
-  schedule(c);
+  park_or_sleep(c, t, cost, obs::TaskDelayState::kEpollBlocked,
+                stats_.epoll_sleeps);
   return false;
+}
+
+futex::WaiterLink* Kernel::epoll_deliver(epollsim::EpollInstance& ep,
+                                         std::uint64_t data) {
+  if (ep.waiters.empty()) {
+    ep.ready.push_back(data);
+    return nullptr;
+  }
+  futex::WaiterLink* w = ep.waiters.pop_front();
+  finish_action(w->task, data);
+  return w;
 }
 
 bool Kernel::handle_epoll_post(Core& c, Task* t, const EpollPostAction& a) {
   auto& ep = epolls_.get(a.epfd);
   SimDuration cost = cfg_.costs.syscall_entry;
-  cost += epolls_.lock_instance(ep, now(), cfg_.costs.bucket_lock_hold, c.id,
-                                t->tid) +
+  cost += epolls_.locks().acquire(ep.lock, now(), cfg_.costs.bucket_lock_hold,
+                                  c.id, t->tid) +
           cfg_.costs.bucket_lock_hold;
-  ++ep.posted;
   EO_TRACE_EVENT(&tracer_, c.id, trace::EventKind::kEpollPost, t->tid,
                  static_cast<std::uint64_t>(a.epfd),
                  ep.waiters.empty() ? 0u : 1u);
-  if (ep.waiters.empty()) {
-    ep.ready.push_back(a.data);
+  futex::WaiterLink* w = epoll_deliver(ep, a.data);
+  if (w == nullptr) {
     t->overhead += cost;
     finish_action(t, 0);
     return true;
   }
-  const auto w = ep.waiters.front();
-  ep.waiters.pop_front();
-  ++ep.consumed;
-  finish_action(w.task, a.data);
   // Deliver via the same serialized wake machinery, but the result is
-  // already set on the waiter; the chain only performs the wakeups.
+  // already set on the waiter; the chain only performs the wakeup.
   WakeChain* chain = alloc_chain();
-  w.task->waiter.vb = w.vb;
-  chain->waiters.push_back(&w.task->waiter);
+  chain->waiters.push_back(w);
   start_wake_chain(c, t, chain, cost, /*delivered=*/true);
   return false;
 }
 
 void Kernel::epoll_post_external(int epfd, std::uint64_t data) {
   auto& ep = epolls_.get(epfd);
-  ++ep.posted;
   EO_TRACE_EVENT(&tracer_, -1, trace::EventKind::kEpollPost, 0,
                  static_cast<std::uint64_t>(epfd),
                  ep.waiters.empty() ? 0u : 1u);
-  if (ep.waiters.empty()) {
-    ep.ready.push_back(data);
-    return;
-  }
-  const auto w = ep.waiters.front();
-  ep.waiters.pop_front();
-  ++ep.consumed;
-  finish_action(w.task, data);
+  futex::WaiterLink* w = epoll_deliver(ep, data);
+  if (w == nullptr) return;
   // Interrupt-context wakeup: the cost is paid by the "IRQ", not a task.
-  if (w.vb) {
-    wake_task_vb(w.task);
+  if (w->vb) {
+    wake_task_vb(w->task);
   } else {
-    wake_task_vanilla(w.task);
+    wake_task_vanilla(w->task);
   }
 }
 
@@ -1322,10 +1283,32 @@ void Kernel::handle_exit(Core& c, Task* t) {
 }
 
 // ---------------------------------------------------------------------------
-// BWD timer
+// Per-core timers
 // ---------------------------------------------------------------------------
 
+void Kernel::arm_timers(Core& c) {
+  // First fire one period past a per-core offset, then every period; the
+  // offsets stagger cores so they do not balance in lockstep.
+  const SimDuration balance = cfg_.cfs.balance_interval;
+  c.balance_timer = engine_.schedule_periodic(
+      c.id * 200_us + balance, balance, [this, &c] { balance_timer_fire(c); });
+  if (cfg_.features.bwd) {
+    const SimDuration bwd = cfg_.features.bwd_interval;
+    c.bwd_timer = engine_.schedule_periodic(
+        c.id * 5_us + bwd, bwd, [this, &c] { bwd_timer_fire(c); });
+  }
+}
+
+void Kernel::disarm_timers(Core& c) {
+  engine_.cancel(c.balance_timer);
+  engine_.cancel(c.bwd_timer);
+  c.balance_timer = sim::kInvalidEvent;
+  c.bwd_timer = sim::kInvalidEvent;
+}
+
 void Kernel::bwd_timer_fire(Core& c) {
+  EO_TRACE_EVENT(&tracer_, c.id, trace::EventKind::kTimerFire, 0, 1,
+                 static_cast<std::uint64_t>(cfg_.features.bwd_interval));
   if (!c.online) return;
   ++stats_.bwd_timer_fires;
   account_segment(c);
@@ -1363,6 +1346,8 @@ void Kernel::bwd_timer_fire(Core& c) {
 // ---------------------------------------------------------------------------
 
 void Kernel::balance_timer_fire(Core& c) {
+  EO_TRACE_EVENT(&tracer_, c.id, trace::EventKind::kTimerFire, 0, 0,
+                 static_cast<std::uint64_t>(cfg_.cfs.balance_interval));
   if (!c.online) return;
   try_balance(c, /*newly_idle=*/false);
 }
@@ -1376,20 +1361,23 @@ bool Kernel::try_balance(Core& c, bool newly_idle) {
   return true;
 }
 
+void Kernel::charge_migration(Task* t, int src, int dst, bool cross) {
+  (cross ? stats_.migrations_cross_node : stats_.migrations_in_node)++;
+  t->resume_penalty = std::max(
+      t->resume_penalty,
+      cache_.migration_penalty(t->mem.working_set, cross) +
+          cfg_.costs.migration_base);
+  t->last_cpu = dst;
+  EO_TRACE_EVENT(&tracer_, dst, trace::EventKind::kMigration, t->tid,
+                 static_cast<std::uint64_t>(src),
+                 static_cast<std::uint64_t>(dst));
+}
+
 void Kernel::apply_migration(const sched::BalanceDecision& d) {
   Core& dst = core(d.dst_cpu);
   Task* t = task_of(d.victim);
   policy_->dequeue(d.src_cpu, d.victim);
-  (d.cross_socket ? stats_.migrations_cross_node
-                  : stats_.migrations_in_node)++;
-  t->resume_penalty = std::max(
-      t->resume_penalty,
-      cache_.migration_penalty(t->mem.working_set, d.cross_socket) +
-          cfg_.costs.migration_base);
-  t->last_cpu = d.dst_cpu;
-  EO_TRACE_EVENT(&tracer_, d.dst_cpu, trace::EventKind::kMigration, t->tid,
-                 static_cast<std::uint64_t>(d.src_cpu),
-                 static_cast<std::uint64_t>(d.dst_cpu));
+  charge_migration(t, d.src_cpu, d.dst_cpu, d.cross_socket);
   // Translate the victim into the destination queue's fairness window.
   policy_->place_migrated(d.src_cpu, d.dst_cpu, d.victim);
   // Queue wait at the destination until first dispatch is kMigrating;

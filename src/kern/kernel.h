@@ -38,7 +38,6 @@
 #include "obs/sampler.h"
 #include "obs/watchdog.h"
 #include "sched/cfs.h"
-#include "sched/hrtimer.h"
 #include "sched/policy.h"
 #include "sched/sched_stats.h"
 #include "sim/engine.h"
@@ -217,8 +216,10 @@ class Kernel {
     hw::LbrState lbr;
     hw::Pmc pmc;
     core::BwdWindowTruth window;
-    sched::RepeatingTimer bwd_timer;
-    sched::RepeatingTimer balance_timer;
+    /// The periodic BWD-monitor and load-balance timers (Kernel::arm_timers);
+    /// kInvalidEvent while disarmed (core offline, or BWD off).
+    sim::EventId bwd_timer = sim::kInvalidEvent;
+    sim::EventId balance_timer = sim::kInvalidEvent;
     Rng rng;
 
     CoreMetrics metrics;
@@ -286,6 +287,16 @@ class Kernel {
   bool handle_futex_wake(Core& c, Task* t, const FutexWakeAction& a);
   bool handle_epoll_wait(Core& c, Task* t, const EpollWaitAction& a);
   bool handle_epoll_post(Core& c, Task* t, const EpollPostAction& a);
+  /// Blocks `t`, whose link the caller just queued with its vb choice: a VB
+  /// waiter parks on its runqueue, any other sleeps off it in `sleep_state`
+  /// and counts in `sleeps`. Charges `cost` (the syscall so far) plus the
+  /// park or sleep setup, then schedules the core's next task.
+  void park_or_sleep(Core& c, Task* t, SimDuration cost,
+                     obs::TaskDelayState sleep_state, std::uint64_t& sleeps);
+  /// Posts `data` to `ep`: queues it when no task waits; otherwise pops the
+  /// oldest waiter, hands it `data` and returns its link (still to be woken).
+  futex::WaiterLink* epoll_deliver(epollsim::EpollInstance& ep,
+                                   std::uint64_t data);
   void handle_sleep(Core& c, Task* t, const SleepAction& a);
   void handle_exit(Core& c, Task* t);
 
@@ -311,10 +322,17 @@ class Kernel {
   void collect_sample(obs::CoreSample* cores, obs::GlobalSample* g) const;
 
   // --- timers ---
+  void arm_timers(Core& c);
+  void disarm_timers(Core& c);
+  /// Timer bodies; each first emits its kTimerFire record (arg0 0 =
+  /// balance, 1 = BWD; arg1 the period).
   void bwd_timer_fire(Core& c);
   void balance_timer_fire(Core& c);
   bool try_balance(Core& c, bool newly_idle);
   void apply_migration(const sched::BalanceDecision& d);
+  /// Charges `t`'s move from `src` to `dst`: the in/cross-node counter, the
+  /// cache-refill resume penalty, last_cpu, and the kMigration record.
+  void charge_migration(Task* t, int src, int dst, bool cross);
 
   KernelConfig cfg_;
   sim::Engine engine_;

@@ -7,11 +7,16 @@
 // acquiring at time t waits max(0, next_free - t), then occupies it for the
 // hold duration. This captures queueing delay (including convoys when many
 // wakers hammer one runqueue) without simulating the lock-word cacheline.
+//
+// The wait-queue locks (futex buckets, epoll instances) are also counted and
+// traced; `TracedLocks` is that one acquire path, one per table of queues.
 #pragma once
 
 #include <cstdint>
 
 #include "common/units.h"
+#include "obs/metrics.h"
+#include "trace/trace.h"
 
 namespace eo::kern {
 
@@ -41,6 +46,42 @@ class KLock {
   std::uint64_t acquisitions_ = 0;
   SimDuration total_wait_ = 0;
   SimDuration total_hold_ = 0;
+};
+
+/// The counted, traced acquire shared by one table of wait-queue locks:
+/// every acquisition bumps `locks`, a contended one (nonzero queueing delay,
+/// the paper's wakeup-path serialization) also bumps `contended`, and each
+/// emits a `kind` record (arg0 wait ns, arg1 hold ns) on `core`/`tid`.
+class TracedLocks {
+ public:
+  explicit TracedLocks(trace::EventKind kind) : kind_(kind) {}
+
+  /// Wires the event tracer (may be null).
+  void set_tracer(trace::Tracer* t) { tracer_ = t; }
+  /// Wires the acquisition counter and its contended subset.
+  void set_metrics(obs::Counter locks, obs::Counter contended) {
+    m_locks_ = locks;
+    m_contended_ = contended;
+  }
+
+  /// Acquires `lock` at `now` for `hold` and returns the wait time; the
+  /// caller's total cost is wait + hold. Inline: this sits on the futex and
+  /// epoll fast paths and must cost one predicted branch when tracing is off.
+  SimDuration acquire(KLock& lock, SimTime now, SimDuration hold, int core,
+                      std::int32_t tid) {
+    const SimDuration wait = lock.acquire(now, hold);
+    m_locks_.inc();
+    if (wait > 0) m_contended_.inc();
+    EO_TRACE_EVENT(tracer_, core, kind_, tid, static_cast<std::uint64_t>(wait),
+                   static_cast<std::uint64_t>(hold));
+    return wait;
+  }
+
+ private:
+  trace::EventKind kind_;
+  trace::Tracer* tracer_ = nullptr;
+  obs::Counter m_locks_;
+  obs::Counter m_contended_;
 };
 
 }  // namespace eo::kern

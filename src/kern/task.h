@@ -71,7 +71,7 @@ struct Task {
   bool in_kernel = false;
 
   /// Intrusive wait-queue membership: spliced into a futex bucket, an epoll
-  /// wake chain, or an in-flight WakeChain (at most one at a time). The
+  /// instance, or an in-flight WakeChain (at most one at a time). The
   /// link's vb flag is the blocking mode chosen at wait time.
   futex::WaiterLink waiter;
 

@@ -110,8 +110,4 @@ Trace Tracer::snapshot() const {
   return t;
 }
 
-void Tracer::clear() {
-  for (auto& r : rings_) r.clear();
-}
-
 }  // namespace eo::trace

@@ -51,14 +51,14 @@ enum class EventKind : std::uint16_t {
   kEnqueue,        ///< entity added (arg0=nr_running after, arg1=vruntime)
   kDequeue,        ///< entity removed (arg0=nr_running after, arg1=vruntime)
   kPickNext,       ///< entity chosen to run (arg0=nr_running, arg1=vruntime)
-  // Timers (sched/hrtimer.cc). Timers re-arm in place via the engine's
+  // Timers (kern/kernel.cc). Timers re-arm in place via the engine's
   // periodic-event path, so one record per fire is the only per-tick cost.
   kTimerFire,      ///< repeating timer fired (arg0=timer id)
-  // Futex (kern/kernel.cc + futex/futex.cc).
+  // Futex (kern/kernel.cc; the lock record from kern/klock.h).
   kFutexWait,      ///< task blocked on a word (arg0=word id, arg1=vb)
   kFutexWake,      ///< futex_wake issued (arg0=word id, arg1=waiters matched)
   kFutexBucketLock,///< bucket lock acquired (arg0=wait ns, arg1=hold ns)
-  // Epoll (kern/kernel.cc + epollsim/epoll.cc).
+  // Epoll (kern/kernel.cc; the lock record from kern/klock.h).
   kEpollWait,      ///< task blocked in epoll_wait (arg0=epfd, arg1=vb)
   kEpollPost,      ///< event posted (arg0=epfd, arg1=had waiter)
   kEpollLock,      ///< instance lock acquired (arg0=wait ns, arg1=hold ns)
@@ -143,8 +143,6 @@ class Tracer {
   /// by ring (core) index, then per-ring emission order, so the result is a
   /// pure function of the simulation.
   Trace snapshot() const;
-
-  void clear();
 
  private:
   std::size_t ring_index(int core) const {

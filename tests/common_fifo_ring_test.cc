@@ -1,6 +1,6 @@
 // FifoRing tests: FIFO order across wraparound, growth re-linearization,
-// erase_first semantics, and the zero-steady-state-allocation contract that
-// justifies replacing std::deque on the epoll ready/waiter queues.
+// and the zero-steady-state-allocation contract that justifies replacing
+// std::deque on the epoll ready queue.
 #include "common/fifo_ring.h"
 
 #include <gtest/gtest.h>
@@ -67,16 +67,6 @@ TEST(FifoRing, SteadyStateIsAllocationFree) {
     while (!q.empty()) q.pop_front();
   }
   EXPECT_EQ(g_news.load(std::memory_order_relaxed) - before, 0u);
-}
-
-TEST(FifoRing, EraseFirstRemovesOneAndKeepsOrder) {
-  FifoRing<int> q;
-  for (int i = 0; i < 8; ++i) q.push_back(i);
-  EXPECT_TRUE(q.erase_first([](int v) { return v == 3; }));
-  EXPECT_FALSE(q.erase_first([](int v) { return v == 3; }));
-  EXPECT_EQ(q.size(), 7u);
-  const int expect[] = {0, 1, 2, 4, 5, 6, 7};
-  for (std::size_t i = 0; i < 7; ++i) ASSERT_EQ(q.at(i), expect[i]);
 }
 
 TEST(FifoRing, PopAndClearDropPayloadReferences) {

@@ -24,7 +24,6 @@ using exp::validate_result_json;
 RunnerOptions quiet() {
   RunnerOptions o;
   o.jobs = 1;
-  o.progress = false;
   return o;
 }
 

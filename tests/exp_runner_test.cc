@@ -1,10 +1,14 @@
 // ExperimentRunner semantics: stable cell ordering independent of --jobs,
-// substring filtering, not-applicable cells, and the bounded
-// retry-at-longer-deadline loop for runs that miss their simulated deadline.
+// an in-order progress count, substring filtering, not-applicable cells, and
+// the bounded retry-at-longer-deadline loop for runs that miss their
+// simulated deadline.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
+#include <mutex>
 #include <sstream>
+#include <vector>
 
 #include "exp/runner.h"
 #include "exp/sweep.h"
@@ -23,7 +27,6 @@ using exp::Sweep;
 RunnerOptions quiet(std::size_t jobs = 1) {
   RunnerOptions o;
   o.jobs = jobs;
-  o.progress = false;
   return o;
 }
 
@@ -70,6 +73,31 @@ TEST(RunnerTest, JobsOneAndJobsManyProduceIdenticalCells) {
     EXPECT_EQ(seq[i].run.exec_time, par[i].run.exec_time);
     EXPECT_EQ(seq[i].extra, par[i].extra);
     EXPECT_EQ(seq[i].attempts, par[i].attempts);
+  }
+}
+
+TEST(RunnerTest, CellFinishCountsReachTheSinkInOrder) {
+  // Cells finish concurrently, but the feed's `[n/m]` counter must arrive
+  // at the sink as 1, 2, ..., m.
+  struct Recorder : obs::ProgressSink {
+    std::mutex mu;
+    std::vector<std::size_t> done;
+    void emit(const obs::ProgressEvent& ev) override {
+      if (ev.kind != obs::ProgressEvent::Kind::kCellFinish) return;
+      std::lock_guard<std::mutex> lk(mu);
+      done.push_back(ev.done);
+    }
+  };
+  auto rec = std::make_shared<Recorder>();
+  RunnerOptions o = quiet(4);
+  o.sink = rec;
+  ExperimentRunner(small_grid(), o)
+      .run([](const Cell& cell, const metrics::RunConfig&) {
+        return synthetic(cell);
+      });
+  ASSERT_EQ(rec->done.size(), 6u);
+  for (std::size_t i = 0; i < rec->done.size(); ++i) {
+    EXPECT_EQ(rec->done[i], i + 1);
   }
 }
 

@@ -1,11 +1,12 @@
 // Allocation contract for the kernel's hottest paths: once a kernel is warm
 // (engine slab, wake-chain pool, runqueue storage at steady-state
-// footprint), a context switch, a futex wait/wake round trip, an obs
-// sampler tick and a library call (mutex, barriers, spin flag) must not
-// touch the heap. Futex waiters ride intrusive WaiterLinks embedded in Task,
-// wake chains are pooled and spliced, engine callbacks are inline EventFns,
-// sampler frames go into preallocated ring storage, and SimCall frames are
-// recycled by FramePool — so the steady state is pointer work only. Same
+// footprint), a context switch, a futex or epoll wait/wake round trip, an
+// obs sampler tick and a library call (mutex, barriers, spin flag) must not
+// touch the heap. Futex and epoll waiters ride intrusive WaiterLinks
+// embedded in Task, wake chains are pooled and spliced, engine callbacks are
+// inline EventFns, sampler frames go into preallocated ring storage, and
+// SimCall frames are recycled by FramePool — so the steady state is pointer
+// work only. Same
 // global-new harness as sim_event_fn_test.cc / traffic_fleet_test.cc.
 #include <gtest/gtest.h>
 
@@ -98,6 +99,32 @@ TEST(KernHotPath, FutexRoundTripAllocationFreeWhenWarm) {
   EXPECT_EQ(n, 0u);
   EXPECT_TRUE(k.run_to_exit(k.now() + 10_s));
   EXPECT_GT(k.stats().futex_wakes, 1000u);
+}
+
+TEST(KernHotPath, EpollRoundTripAllocationFreeWhenWarm) {
+  KernelConfig c;
+  c.topo = hw::Topology::make_cores(2, 1);
+  Kernel k(c);
+  const int ep = k.epoll_create();
+  // Ping-pong through one instance: the consumer blocks in epoll_wait before
+  // each post, so every round queues its embedded link on the instance, pops
+  // it with the payload onto a pooled wake chain, and switches both sides.
+  runtime::spawn(k, "consumer", [ep](runtime::Env env) -> runtime::SimThread {
+    for (int r = 0; r < 3000; ++r) co_await env.epoll_wait(ep);
+    co_return;
+  });
+  runtime::spawn(k, "producer", [ep](runtime::Env env) -> runtime::SimThread {
+    for (int r = 0; r < 3000; ++r) {
+      co_await env.compute(5_us);
+      co_await env.epoll_post(ep, static_cast<std::uint64_t>(r));
+    }
+    co_return;
+  });
+  k.run_until(2_ms);  // warm: one pooled wake chain, engine heap at depth
+  const std::uint64_t n = allocs_during([&] { k.run_until(14_ms); });
+  EXPECT_EQ(n, 0u);
+  EXPECT_TRUE(k.run_to_exit(k.now() + 10_s));
+  EXPECT_GT(k.stats().epoll_sleeps, 1000u);
 }
 
 TEST(KernHotPath, SamplerTickAllocationFreeWhenWarm) {

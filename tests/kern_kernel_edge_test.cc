@@ -146,6 +146,79 @@ TEST(KernelEdge, BlockingEpollWaitCountsAsEpollSleep) {
   EXPECT_EQ(k.stats().futex_sleeps, 0u);
 }
 
+TEST(KernelEdge, EpollWakesWaitersOldestFirstWithTheirOwnPayload) {
+  // Four waiters block in turn (waiter i at 10 + 100·i µs); four posts 1 ms
+  // apart then each wake exactly one. For both blocking modes and both post
+  // sources, waiter i must be the i-th woken and receive the i-th payload.
+  constexpr int kWaiters = 4;
+  for (const bool vb : {false, true}) {
+    for (const bool from_task : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "vb=" << vb << " from_task=" << from_task);
+      KernelConfig c;
+      c.topo = hw::Topology::make_cores(1, 1);
+      c.features.vb_epoll = vb;
+      c.features.vb_auto_disable = false;
+      Kernel k(c);
+      const int ep = k.epoll_create();
+      std::vector<int> woken;
+      std::vector<std::uint64_t> payload(kWaiters, 0);
+      for (int i = 0; i < kWaiters; ++i) {
+        runtime::spawn(k, "w", [&, ep, i](Env env) -> SimThread {
+          co_await env.sleep(10_us + i * 100_us);
+          payload[static_cast<size_t>(i)] = co_await env.epoll_wait(ep);
+          woken.push_back(i);
+          co_return;
+        });
+      }
+      if (from_task) {
+        runtime::spawn(k, "poster", [ep](Env env) -> SimThread {
+          for (int i = 0; i < kWaiters; ++i) {
+            co_await env.sleep(1_ms);
+            co_await env.epoll_post(ep, 100 + static_cast<std::uint64_t>(i));
+          }
+          co_return;
+        });
+      } else {
+        for (int i = 0; i < kWaiters; ++i) {
+          k.engine().schedule_at((i + 1) * 1_ms, [&k, ep, i] {
+            k.epoll_post_external(ep, 100 + static_cast<std::uint64_t>(i));
+          });
+        }
+      }
+      ASSERT_TRUE(k.run_to_exit(1_s));
+      EXPECT_EQ(woken, (std::vector<int>{0, 1, 2, 3}));
+      EXPECT_EQ(payload, (std::vector<std::uint64_t>{100, 101, 102, 103}));
+      EXPECT_EQ(k.stats().epoll_sleeps, vb ? 0u : 4u);
+      EXPECT_EQ(k.stats().vb_parks, vb ? 4u : 0u);
+    }
+  }
+}
+
+TEST(KernelEdge, EpollWaiterSurvivesLaterInstanceCreation) {
+  // A task blocked on instance 0 stays reachable after many more instances
+  // are created (the table must not move an instance its waiters sit on).
+  KernelConfig c;
+  c.topo = hw::Topology::make_cores(1, 1);
+  Kernel k(c);
+  const int ep0 = k.epoll_create();
+  std::uint64_t got = 0;
+  runtime::spawn(k, "w", [&, ep0](Env env) -> SimThread {
+    got = co_await env.epoll_wait(ep0);
+    co_return;
+  });
+  k.run_until(1_ms);
+  ASSERT_EQ(got, 0u);
+  std::vector<int> more;
+  for (int i = 0; i < 20; ++i) more.push_back(k.epoll_create());
+  EXPECT_EQ(more.back(), ep0 + 20);
+  for (const int ep : more) k.epoll_post_external(ep, 1);
+  k.epoll_post_external(ep0, 42);
+  ASSERT_TRUE(k.run_to_exit(1_s));
+  EXPECT_EQ(got, 42u);
+  EXPECT_EQ(k.stats().epoll_sleeps, 1u);
+}
+
 TEST(KernelEdge, VbWakeDuringCheckQuantum) {
   // All threads on one core VB-park; the waker (external timer via a second
   // core) clears a flag while the parked thread is mid check-quantum.

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "common/units.h"
+#include "obs/metrics.h"
+#include "sim/engine.h"
+#include "trace/trace.h"
 
 namespace eo::kern {
 namespace {
@@ -37,6 +40,47 @@ TEST(KLock, ConvoyAccumulates) {
   EXPECT_EQ(l.acquisitions(), 10u);
   EXPECT_EQ(l.total_wait(), 200 * (0 + 1 + 2 + 3 + 4 + 5 + 6 + 7 + 8 + 9));
   EXPECT_EQ(l.total_hold(), 2000);
+}
+
+TEST(TracedLocks, CountsEveryAcquireAndTracesWaitAndHold) {
+  // The one acquire path of the futex-bucket and epoll-instance locks: each
+  // acquisition counts, a contended one counts again, and each leaves one
+  // record of the table's kind carrying the wait and the hold.
+  sim::Engine engine;
+  trace::TraceConfig tc;
+  tc.enabled = true;
+  trace::Tracer tracer(&engine, 2, tc);
+  obs::MetricRegistry reg;
+  TracedLocks locks(trace::EventKind::kEpollLock);
+  locks.set_tracer(&tracer);
+  const obs::Counter acquired = reg.counter("locks");
+  locks.set_metrics(acquired, reg.counter("contended"));
+  KLock l;
+  EXPECT_EQ(locks.acquire(l, 0, 100, 1, 7), 0);
+  EXPECT_EQ(locks.acquire(l, 30, 50, 1, 8), 70);
+  EXPECT_EQ(locks.acquire(l, 500, 50, 1, 9), 0);
+#if defined(EO_METRICS_ENABLED) && EO_METRICS_ENABLED
+  const auto counters = reg.snapshot_counters();
+  ASSERT_EQ(counters.size(), 2u);
+  EXPECT_EQ(counters[0].name, "locks");
+  EXPECT_EQ(counters[0].value, 3u);
+  EXPECT_EQ(counters[1].value, 1u);
+#endif
+#if defined(EO_TRACE_ENABLED)
+  const trace::Trace t = tracer.snapshot();
+  ASSERT_EQ(t.events.size(), 3u);
+  const std::int32_t tids[] = {7, 8, 9};
+  const std::uint64_t waits[] = {0, 70, 0};
+  const std::uint64_t holds[] = {100, 50, 50};
+  for (std::size_t i = 0; i < 3; ++i) {
+    const trace::TraceEvent& e = t.events[i];
+    EXPECT_EQ(e.kind, static_cast<std::uint16_t>(trace::EventKind::kEpollLock));
+    EXPECT_EQ(e.core, 1);
+    EXPECT_EQ(e.tid, tids[i]);
+    EXPECT_EQ(e.arg0, waits[i]);
+    EXPECT_EQ(e.arg1, holds[i]);
+  }
+#endif
 }
 
 }  // namespace

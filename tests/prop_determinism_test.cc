@@ -136,7 +136,6 @@ TEST(Determinism, SameSeedSweepRendersByteIdenticalJson) {
                           });
     exp::RunnerOptions opts;
     opts.jobs = jobs;
-    opts.progress = false;
     const exp::Outcomes out =
         exp::ExperimentRunner(sweep, opts)
             .run([&](const exp::Cell&, const metrics::RunConfig& cfg) {

@@ -351,7 +351,7 @@ TEST(EngineStress, PeriodicPathIsOrderIdenticalToSelfRearming) {
   }
   {
     Engine e;
-    // The old RepeatingTimer pattern: re-arm first, then the body.
+    // A self-re-arming timer: re-arm first, then the body.
     struct Rearm {
       Engine* e;
       std::vector<int>* log;
