@@ -59,14 +59,6 @@ class OverwriteRing {
     out->insert(out->end(), buf_.begin(), oldest);
   }
 
-  /// Forgets every frame; the storage stays reserved.
-  void clear() {
-    buf_.clear();
-    head_ = 0;
-    count_ = 0;
-    dropped_ = 0;
-  }
-
  private:
   std::size_t capacity_ = 0;
   std::size_t stride_ = 1;

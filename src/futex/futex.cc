@@ -20,21 +20,4 @@ Bucket& FutexTable::bucket_for(const kern::SimWord* word) {
   return buckets_[h % buckets_.size()];
 }
 
-bool FutexTable::remove(Bucket& b, const kern::Task* task) {
-  for (WaiterLink* l = b.waiters.begin_link(); l != b.waiters.end_link();
-       l = l->next) {
-    if (l->task == task) {
-      b.waiters.erase(l);
-      return true;
-    }
-  }
-  return false;
-}
-
-std::size_t FutexTable::total_waiters() const {
-  std::size_t n = 0;
-  for (const auto& b : buckets_) n += b.waiters.size();
-  return n;
-}
-
 }  // namespace eo::futex

@@ -42,15 +42,6 @@ class FutexTable {
   /// The bucket a word hashes to (stable for the word's lifetime).
   Bucket& bucket_for(const kern::SimWord* word);
 
-  /// Removes a specific task from a bucket (used by requeue-free paths and
-  /// tests). Returns true if found.
-  bool remove(Bucket& b, const kern::Task* task);
-
-  std::size_t n_buckets() const { return buckets_.size(); }
-
-  /// Total waiters across all buckets (diagnostics).
-  std::size_t total_waiters() const;
-
  private:
   std::vector<Bucket> buckets_;
   kern::TracedLocks locks_{trace::EventKind::kFutexBucketLock};

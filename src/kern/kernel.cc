@@ -276,14 +276,22 @@ void Kernel::register_metrics() {
   hooks.balance_attempts = r.counter("sched.balance.attempts");
   hooks.balance_pulls = r.counter("sched.balance.pulls");
   policy_->attach(hooks);
-  futex_.locks().set_metrics(r.counter("futex.bucket_locks"),
-                             r.counter("futex.bucket_locks_contended"));
-  epolls_.locks().set_metrics(r.counter("epoll.instance_locks"),
-                              r.counter("epoll.instance_locks_contended"));
-  vb_policy_.set_metrics(r.counter("vb.decisions"),
-                         r.counter("vb.chose_vb"));
-  bwd_.set_metrics(r.counter("bwd.windows_evaluated"),
-                   r.counter("bwd.windows_detected"));
+  // Each pair registers its second counter first: that is the order every
+  // exported document has carried, so it stays.
+  const obs::Counter futex_contended =
+      r.counter("futex.bucket_locks_contended");
+  const obs::Counter futex_locks = r.counter("futex.bucket_locks");
+  futex_.locks().set_metrics(futex_locks, futex_contended);
+  const obs::Counter epoll_contended =
+      r.counter("epoll.instance_locks_contended");
+  const obs::Counter epoll_locks = r.counter("epoll.instance_locks");
+  epolls_.locks().set_metrics(epoll_locks, epoll_contended);
+  const obs::Counter vb_chose = r.counter("vb.chose_vb");
+  const obs::Counter vb_decisions = r.counter("vb.decisions");
+  vb_policy_.set_metrics(vb_decisions, vb_chose);
+  const obs::Counter bwd_detected = r.counter("bwd.windows_detected");
+  const obs::Counter bwd_evaluated = r.counter("bwd.windows_evaluated");
+  bwd_.set_metrics(bwd_evaluated, bwd_detected);
   r.register_counter("bwd.truth_windows", &bwd_accuracy_.windows);
   r.register_counter("bwd.truth_tp", &bwd_accuracy_.tp);
   r.register_counter("bwd.truth_fp", &bwd_accuracy_.fp);

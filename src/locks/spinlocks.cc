@@ -138,8 +138,9 @@ class AlockLs final : public SpinLock {
   }
 
   SimCall<void> lock(Env env, int slot) override {
-    const auto pos = static_cast<int>(co_await env.fetch_add(tail_, 1) %
-                                      static_cast<std::uint64_t>(n_));
+    const std::uint64_t ticket = co_await env.fetch_add(tail_, 1);
+    const auto pos =
+        static_cast<int>(ticket % static_cast<std::uint64_t>(n_));
     my_pos_[static_cast<size_t>(slot)] = pos;
     co_await env.spin_until_eq(flags_[static_cast<size_t>(pos)], 1, site_);
     // Reset for the slot's next lap around the array.

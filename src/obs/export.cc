@@ -298,7 +298,7 @@ bool validate_watchdog(const json::Value& root, std::string* err) {
   return true;
 }
 
-HistogramSummary summarize_histogram(const std::string& name,
+HistogramSummary summarize_histogram(std::string_view name,
                                      const Histogram& hist) {
   HistogramSummary s;
   s.name = name;

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/units.h"
@@ -68,7 +69,7 @@ struct MetricsDoc {
 /// Builds the export-time summary of `hist` under `name` — the one
 /// quantile-snapshot routine shared by the kernel snapshot and the fleet
 /// aggregator, so every document derives summaries identically.
-HistogramSummary summarize_histogram(const std::string& name,
+HistogramSummary summarize_histogram(std::string_view name,
                                      const Histogram& hist);
 
 /// Renders per format ("json", "csv", or "report").

@@ -12,12 +12,12 @@ thread_local std::uint64_t g_counter_sink = 0;
 
 Counter::Counter() : cell_(&g_counter_sink) {}
 
-void MetricRegistry::check_new_name(const std::string& name) const {
+void MetricRegistry::check_new_name(std::string_view name) const {
   EO_CHECK(!name.empty()) << "empty metric name";
   EO_CHECK(!has(name)) << "duplicate metric name '" << name << "'";
 }
 
-bool MetricRegistry::has(const std::string& name) const {
+bool MetricRegistry::has(std::string_view name) const {
   for (const auto& c : counters_) {
     if (c.name == name) return true;
   }
@@ -30,28 +30,28 @@ bool MetricRegistry::has(const std::string& name) const {
   return false;
 }
 
-Counter MetricRegistry::counter(const std::string& name) {
+Counter MetricRegistry::counter(std::string_view name) {
   check_new_name(name);
   owned_.push_back(0);
   counters_.push_back({name, &owned_.back()});
   return Counter(&owned_.back());
 }
 
-void MetricRegistry::register_counter(const std::string& name,
+void MetricRegistry::register_counter(std::string_view name,
                                       const std::uint64_t* cell) {
   check_new_name(name);
   EO_CHECK(cell != nullptr);
   counters_.push_back({name, cell});
 }
 
-void MetricRegistry::register_gauge(const std::string& name,
+void MetricRegistry::register_gauge(std::string_view name,
                                     std::function<std::int64_t()> read) {
   check_new_name(name);
   EO_CHECK(read != nullptr);
   gauges_.push_back({name, std::move(read)});
 }
 
-void MetricRegistry::register_histogram(const std::string& name,
+void MetricRegistry::register_histogram(std::string_view name,
                                         const Histogram* hist) {
   check_new_name(name);
   EO_CHECK(hist != nullptr);
@@ -62,7 +62,9 @@ std::vector<MetricRegistry::CounterValue> MetricRegistry::snapshot_counters()
     const {
   std::vector<CounterValue> out;
   out.reserve(counters_.size());
-  for (const auto& c : counters_) out.push_back({c.name, *c.cell});
+  for (const auto& c : counters_) {
+    out.push_back({std::string(c.name), *c.cell});
+  }
   return out;
 }
 
@@ -77,7 +79,9 @@ std::vector<MetricRegistry::GaugeValue> MetricRegistry::snapshot_gauges()
     const {
   std::vector<GaugeValue> out;
   out.reserve(gauges_.size());
-  for (const auto& g : gauges_) out.push_back({g.name, g.read()});
+  for (const auto& g : gauges_) {
+    out.push_back({std::string(g.name), g.read()});
+  }
   return out;
 }
 

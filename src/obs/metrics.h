@@ -17,12 +17,18 @@
 // sink cell, so modules that were never wired still increment something
 // valid (and, because the sink is thread-local, concurrently running kernels
 // on different host threads never race on it).
+//
+// Name lifetime: the registry keeps every name as a `std::string_view` and
+// copies none of them, so a name must have static storage duration (a string
+// literal, or an entry of a constant table). Registering a kernel's ~60
+// metrics then allocates nothing per name.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace eo {
@@ -57,25 +63,27 @@ class MetricRegistry {
   MetricRegistry(const MetricRegistry&) = delete;
   MetricRegistry& operator=(const MetricRegistry&) = delete;
 
-  /// Registers a registry-owned counter cell and returns its handle. Names
-  /// must be unique across the registry.
-  Counter counter(const std::string& name);
+  // Every `name` below must have static storage duration (see "Name
+  // lifetime" above) and be unique across the registry.
+
+  /// Registers a registry-owned counter cell and returns its handle.
+  Counter counter(std::string_view name);
 
   /// Registers an externally owned counter cell (e.g. a SchedStats field).
   /// The cell must outlive the registry.
-  void register_counter(const std::string& name, const std::uint64_t* cell);
+  void register_counter(std::string_view name, const std::uint64_t* cell);
 
   /// Registers a gauge; `read` is invoked at snapshot time.
-  void register_gauge(const std::string& name,
+  void register_gauge(std::string_view name,
                       std::function<std::int64_t()> read);
 
   /// Registers an externally owned histogram, snapshot at export time.
-  void register_histogram(const std::string& name, const Histogram* hist);
+  void register_histogram(std::string_view name, const Histogram* hist);
 
   std::size_t n_counters() const { return counters_.size(); }
   std::size_t n_gauges() const { return gauges_.size(); }
   std::size_t n_histograms() const { return histograms_.size(); }
-  bool has(const std::string& name) const;
+  bool has(std::string_view name) const;
 
   struct CounterValue {
     std::string name;
@@ -86,7 +94,7 @@ class MetricRegistry {
     std::int64_t value = 0;
   };
   struct HistogramRef {
-    std::string name;
+    std::string_view name;
     const Histogram* hist = nullptr;
   };
 
@@ -97,7 +105,7 @@ class MetricRegistry {
   /// has warmed to size, no allocation and no string copies.
   void counter_values(std::vector<std::uint64_t>* out) const;
   /// Name of the i-th registered counter, in registration order.
-  const std::string& counter_name(std::size_t i) const {
+  std::string_view counter_name(std::size_t i) const {
     return counters_[i].name;
   }
   /// Gauge names and current values, in registration order.
@@ -106,15 +114,15 @@ class MetricRegistry {
 
  private:
   struct CounterEntry {
-    std::string name;
+    std::string_view name;
     const std::uint64_t* cell = nullptr;
   };
   struct GaugeEntry {
-    std::string name;
+    std::string_view name;
     std::function<std::int64_t()> read;
   };
 
-  void check_new_name(const std::string& name) const;
+  void check_new_name(std::string_view name) const;
 
   /// Owned counter cells; deque so registration never invalidates handles.
   std::deque<std::uint64_t> owned_;

@@ -123,7 +123,7 @@ int InvariantWatchdog::check(SimTime ts, const CoreSample* cores, int n_cores,
       for (std::size_t i = 0; i < cur_counters_.size(); ++i) {
         if (cur_counters_[i] < prev_counters_[i]) {
           record(ts, "counter_monotonic",
-                 registry_->counter_name(i) + " regressed " +
+                 std::string(registry_->counter_name(i)) + " regressed " +
                      std::to_string(prev_counters_[i]) + " -> " +
                      std::to_string(cur_counters_[i]));
         }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 #include <span>
+#include <string_view>
 
 namespace eo::sched {
 
@@ -16,42 +17,62 @@ struct Effective {
   const PickHistory* history;
 };
 
-/// A tunable gauge, registered as "sched.<name>." + `name`.
+/// How a tunable gauge reads the effective configuration.
+using TunableRead = std::int64_t (*)(const Effective&);
+
+/// A tunable gauge: its full registry name ("sched.<policy>.<tunable>",
+/// static storage, as the registry requires) and its reader.
 struct Tunable {
   const char* name;
-  std::int64_t (*read)(const Effective&);
+  TunableRead read;
 };
 
-constexpr Tunable kSchedLatency{
-    "sched_latency_ns", [](const Effective& e) { return e.cfs.sched_latency; }};
-constexpr Tunable kMinGranularity{
-    "min_granularity_ns",
-    [](const Effective& e) { return e.cfs.min_granularity; }};
-constexpr Tunable kWakeupGranularity{
-    "wakeup_granularity_ns",
-    [](const Effective& e) { return e.cfs.wakeup_granularity; }};
-constexpr auto kFixedQuantum = [](const Effective& e) {
+constexpr TunableRead kSchedLatency = [](const Effective& e) {
+  return e.cfs.sched_latency;
+};
+constexpr TunableRead kMinGranularity = [](const Effective& e) {
+  return e.cfs.min_granularity;
+};
+constexpr TunableRead kWakeupGranularity = [](const Effective& e) {
+  return e.cfs.wakeup_granularity;
+};
+constexpr TunableRead kFixedQuantum = [](const Effective& e) {
   return e.tuning.fixed_quantum;
 };
-constexpr Tunable kHistory{"history", [](const Effective& e) {
+constexpr TunableRead kHistory = [](const Effective& e) {
   return static_cast<std::int64_t>(e.history->history());
-}};
-constexpr Tunable kTieWindow{
-    "tie_window_ns", [](const Effective& e) { return e.history->tie_window(); }};
-/// Registered after every row's own tunables.
-constexpr Tunable kBalanceTunables[] = {
-    {"balance_interval_ns",
-     [](const Effective& e) { return e.cfs.balance_interval; }},
-    {"balance_imbalance", [](const Effective& e) {
-       return static_cast<std::int64_t>(e.cfs.balance_imbalance);
-     }}};
+};
+constexpr TunableRead kTieWindow = [](const Effective& e) {
+  return e.history->tie_window();
+};
+constexpr TunableRead kBalanceInterval = [](const Effective& e) {
+  return e.cfs.balance_interval;
+};
+constexpr TunableRead kBalanceImbalance = [](const Effective& e) {
+  return static_cast<std::int64_t>(e.cfs.balance_imbalance);
+};
 
-constexpr Tunable kCfsTunables[] = {kSchedLatency, kMinGranularity,
-                                    kWakeupGranularity};
-constexpr Tunable kFifoTunables[] = {{"slice_ns", kFixedQuantum}};
-constexpr Tunable kRrTunables[] = {{"quantum_ns", kFixedQuantum}};
-constexpr Tunable kPcfsTunables[] = {kSchedLatency, kMinGranularity,
-                                     kWakeupGranularity, kHistory, kTieWindow};
+// Every row lists its own tunables, then the balancer's.
+#define EO_CFS_TUNABLES(policy)                                   \
+  {"sched." policy ".sched_latency_ns", kSchedLatency},           \
+      {"sched." policy ".min_granularity_ns", kMinGranularity},   \
+      {"sched." policy ".wakeup_granularity_ns", kWakeupGranularity}
+#define EO_BALANCE_TUNABLES(policy)                                \
+  {"sched." policy ".balance_interval_ns", kBalanceInterval},      \
+      {"sched." policy ".balance_imbalance", kBalanceImbalance}
+
+constexpr Tunable kCfsTunables[] = {EO_CFS_TUNABLES("cfs"),
+                                    EO_BALANCE_TUNABLES("cfs")};
+constexpr Tunable kFifoTunables[] = {{"sched.fifo.slice_ns", kFixedQuantum},
+                                     EO_BALANCE_TUNABLES("fifo")};
+constexpr Tunable kRrTunables[] = {{"sched.rr.quantum_ns", kFixedQuantum},
+                                   EO_BALANCE_TUNABLES("rr")};
+constexpr Tunable kPcfsTunables[] = {
+    EO_CFS_TUNABLES("pcfs"), {"sched.pcfs.history", kHistory},
+    {"sched.pcfs.tie_window_ns", kTieWindow}, EO_BALANCE_TUNABLES("pcfs")};
+
+#undef EO_CFS_TUNABLES
+#undef EO_BALANCE_TUNABLES
 
 QueueTuning cfs_tuning(const PolicyParams&) { return QueueTuning{}; }
 
@@ -90,14 +111,30 @@ struct PolicyRow {
 namespace {
 
 /// The registered disciplines, in presentation order. Constant data that
-/// allocates nothing: host timings that follow the heap's trim state (the
-/// fleet's connection slab) must not move when a discipline is picked.
+/// allocates nothing, gauge names included.
 constexpr PolicyRow kPolicies[] = {
     {"cfs", cfs_tuning, false, kCfsTunables},
     {"fifo", fifo_tuning, false, kFifoTunables},
     {"rr", rr_tuning, false, kRrTunables},
     {"pcfs", cfs_tuning, true, kPcfsTunables},
 };
+
+/// Every row's gauge names carry its "sched.<name>." prefix.
+constexpr bool tunables_named_after_rows() {
+  for (const PolicyRow& row : kPolicies) {
+    const std::string_view policy = row.name;
+    for (const Tunable& t : row.tunables) {
+      std::string_view n = t.name;
+      if (!n.starts_with("sched.")) return false;
+      n.remove_prefix(6);
+      if (!n.starts_with(policy)) return false;
+      n.remove_prefix(policy.size());
+      if (!n.starts_with('.')) return false;
+    }
+  }
+  return true;
+}
+static_assert(tunables_named_after_rows());
 
 }  // namespace
 
@@ -180,14 +217,11 @@ void SchedPolicy::attach(const ObsHooks& hooks) {
 }
 
 void SchedPolicy::export_tunables(obs::MetricRegistry* reg) const {
-  const std::string prefix = std::string("sched.") + row_->name + ".";
-  const auto add = [&](const Tunable& t) {
-    reg->register_gauge(prefix + t.name, [this, read = t.read] {
+  for (const Tunable& t : row_->tunables) {
+    reg->register_gauge(t.name, [this, read = t.read] {
       return read(Effective{*cfs_, tuning_, history_.get()});
     });
-  };
-  for (const Tunable& t : row_->tunables) add(t);
-  for (const Tunable& t : kBalanceTunables) add(t);
+  }
 }
 
 std::unique_ptr<SchedPolicy> make_policy(const std::string& name,

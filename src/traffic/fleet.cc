@@ -203,16 +203,26 @@ void ServeHost::begin_window() {
   blame_ = BlameBreakdown{};
 }
 
-ConnectionFleet::ConnectionFleet(const FleetConfig& cfg) : cfg_(cfg) {
+ConnectionFleet::ConnectionFleet(const FleetConfig& cfg)
+    : cfg_(cfg),
+      n_conns_(static_cast<std::size_t>(cfg.n_hosts) *
+               cfg.host.n_connections) {
   EO_CHECK(cfg_.n_hosts > 0);
   EO_CHECK(cfg_.window > 0);
-  conns_.resize(static_cast<std::size_t>(cfg_.n_hosts) *
-                cfg_.host.n_connections);
+  // Raw storage: reserving costs no page faults; run() clears each host's
+  // slice on the thread that simulates it.
+  conns_.reset(
+      static_cast<Connection*>(::operator new(n_conns_ * sizeof(Connection))));
+}
+
+const Connection* ConnectionFleet::connections() const {
+  EO_CHECK(initialised_) << "connection records read before run()";
+  return conns_.get();
 }
 
 FleetResult ConnectionFleet::run() {
   FleetResult res;
-  res.total_connections = conns_.size();
+  res.total_connections = n_conns_;
   res.window = cfg_.window;
   const SimTime warm_end = cfg_.warmup;
   const SimTime win_end = cfg_.warmup + cfg_.window;
@@ -243,9 +253,14 @@ FleetResult ConnectionFleet::run() {
   const auto n_hosts = static_cast<std::size_t>(cfg_.n_hosts);
   std::vector<HostOutcome> outcomes(n_hosts);
   obs::ProgressSink* progress = cfg_.progress;
+  const bool first_run = !initialised_;
 
   const auto run_host = [&](std::size_t h) {
     HostOutcome& o = outcomes[h];
+    Connection* conns = &conns_[h * cfg_.host.n_connections];
+    if (first_run) {
+      std::uninitialized_value_construct_n(conns, cfg_.host.n_connections);
+    }
     // Per-host seed: a fixed mix of (fleet seed, host index), so the host
     // sequence is stable under reordering and fleet resizing.
     const std::uint64_t host_seed =
@@ -255,8 +270,7 @@ FleetResult ConnectionFleet::run() {
     kern::KernelConfig kc = cfg_.kernel;
     kc.seed = host_seed;
     kern::Kernel k(kc);
-    ServeHost host(k, cfg_.host, &conns_[h * cfg_.host.n_connections],
-                   cfg_.arrival, host_seed);
+    ServeHost host(k, cfg_.host, conns, cfg_.arrival, host_seed);
     if (progress != nullptr) {
       obs::ProgressEvent ev;
       ev.kind = obs::ProgressEvent::Kind::kHostStart;
@@ -342,6 +356,7 @@ FleetResult ConnectionFleet::run() {
   } else {
     ThreadPool::parallel_for(n_hosts, run_host, cfg_.jobs);
   }
+  initialised_ = true;
 
   // Merge in host order: every reduction below walks hosts 0..n-1, so the
   // result is independent of execution interleaving. The nominal simulated
@@ -407,8 +422,8 @@ FleetResult ConnectionFleet::run() {
   if (outcomes[pick].taskstats != nullptr) {
     res.taskstats = outcomes[pick].taskstats;
   }
-  for (const Connection& c : conns_) {
-    if (c.issued > 0) ++res.active_connections;
+  for (std::size_t i = 0; i < n_conns_; ++i) {
+    if (conns_[i].issued > 0) ++res.active_connections;
   }
   return res;
 }

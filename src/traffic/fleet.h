@@ -8,8 +8,11 @@
 // accounted for:
 //
 //  * `Connection` is a packed 16-byte record; the fleet keeps ONE flat slab
-//    of n_hosts * conns_per_host of them resident for the whole sweep, so a
-//    million connections cost 16 MB and a connection id is just an index.
+//    of n_hosts * conns_per_host of them, so a million connections cost
+//    16 MB and a connection id is just an index. The constructor only
+//    reserves the slab; each host clears its own slice the first time it
+//    runs, on the thread that simulates it, so construction is O(1) and the
+//    clearing lands in the memory that host touches next.
 //  * In-flight requests live in a per-host `PendingRequest` slot slab (the
 //    engine's free-list idiom): posting a request takes a slot, the epoll
 //    payload is the slot index, completion frees it. The slab is reserved
@@ -29,6 +32,8 @@
 
 #include <cstdint>
 #include <memory>
+#include <new>
+#include <type_traits>
 #include <vector>
 
 #include "common/histogram.h"
@@ -105,6 +110,8 @@ struct Connection {
   std::uint16_t shed = 0;         ///< arrivals dropped (slab full), saturating
 };
 static_assert(sizeof(Connection) == 16, "per-connection record must stay packed");
+static_assert(std::is_trivially_destructible_v<Connection>,
+              "the fleet frees its connection slab without destructor calls");
 
 /// One in-flight request: a slot in the per-host slab. Free slots chain
 /// through `next_free`; live slots carry the arrival and worker-dequeue
@@ -331,23 +338,35 @@ struct FleetResult {
   std::shared_ptr<obs::TaskstatsDoc> taskstats;
 };
 
-/// The fleet: owns the flat connection slab (all hosts, resident for the
-/// object's lifetime) and runs the hosts — sequentially or on a host-thread
-/// pool (`FleetConfig.jobs`), since each host's kernel, arrival stream, and
-/// connection-slab slice are fully independent.
+/// The fleet: owns the flat connection slab (all hosts, reserved by the
+/// constructor and initialised per host on the first run()) and runs the
+/// hosts — sequentially or on a host-thread pool (`FleetConfig.jobs`), since
+/// each host's kernel, arrival stream, and connection-slab slice are fully
+/// independent.
 class ConnectionFleet {
  public:
   explicit ConnectionFleet(const FleetConfig& cfg);
 
   /// Simulates every host through warmup + window + drain and aggregates.
+  /// The first call zeroes each host's connection records; later calls keep
+  /// accumulating into them.
   FleetResult run();
 
-  std::size_t total_connections() const { return conns_.size(); }
-  const Connection* connections() const { return conns_.data(); }
+  std::size_t total_connections() const { return n_conns_; }
+  /// Every host's connection records, host-major. Checks that run() has
+  /// initialised them.
+  const Connection* connections() const;
 
  private:
+  /// Releases the raw slab storage (`Connection` is trivially destructible).
+  struct FreeSlab {
+    void operator()(Connection* p) const { ::operator delete(p); }
+  };
+
   FleetConfig cfg_;
-  std::vector<Connection> conns_;
+  std::size_t n_conns_;
+  std::unique_ptr<Connection[], FreeSlab> conns_;
+  bool initialised_ = false;
 };
 
 }  // namespace eo::traffic

@@ -36,10 +36,10 @@ TEST_F(FutexTableTest, RemoveFindsWaiter) {
   t2->waiter.vb = true;
   b.waiters.push_back(&t1->waiter);
   b.waiters.push_back(&t2->waiter);
-  EXPECT_EQ(table_.total_waiters(), 2u);
-  EXPECT_TRUE(table_.remove(b, t1));
-  EXPECT_FALSE(table_.remove(b, t1));
+  EXPECT_EQ(b.waiters.size(), 2u);
+  b.waiters.erase(&t1->waiter);
   EXPECT_TRUE(WaiterList::detached(&t1->waiter));
+  EXPECT_FALSE(WaiterList::detached(&t2->waiter));
   EXPECT_EQ(b.waiters.size(), 1u);
   EXPECT_EQ(b.waiters.front()->task, t2);
   EXPECT_TRUE(b.waiters.front()->vb);

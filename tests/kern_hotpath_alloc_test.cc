@@ -17,10 +17,12 @@
 
 #include "common/units.h"
 #include "kern/kernel.h"
+#include "metrics/experiment.h"
 #include "runtime/barrier.h"
 #include "runtime/mutex.h"
 #include "runtime/sim_thread.h"
 #include "runtime/spin.h"
+#include "workloads/suite.h"
 
 // --- allocation-counting harness (whole test binary) ---
 namespace {
@@ -211,6 +213,23 @@ TEST(KernHotPath, LibraryCallsAllocationFreeWhenWarm) {
   EXPECT_GT(k.total_spin_busy() - spin_busy_before, 1_ms);
   EXPECT_GT(try_locks_won, 500u);
   EXPECT_TRUE(k.run_to_exit(k.now() + 10_s));
+}
+
+// Construction, not a hot path: a kernel shaped like fig09's (8 cores on 2
+// sockets, VB+BWD, "cg"'s reference footprint) registers ~60 metrics, and the
+// registry keeps their names by view, so building the kernel allocates only
+// its own structures. Pinned at the observed count; a change that adds
+// allocations prints the new count.
+TEST(KernHotPath, Fig09KernelConstructionAllocations) {
+  constexpr std::uint64_t kPinned = 46;
+  metrics::RunConfig rc;
+  rc.cpus = 8;
+  rc.sockets = 2;
+  rc.features = core::Features::optimized();
+  rc.ref_footprint = workloads::find_benchmark("cg").ref_footprint();
+  const KernelConfig c = metrics::make_kernel_config(rc);
+  const std::uint64_t n = allocs_during([&] { Kernel k(c); });
+  EXPECT_LE(n, kPinned) << "observed " << n << " allocations";
 }
 
 }  // namespace

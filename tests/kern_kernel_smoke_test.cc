@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "runtime/env.h"
 #include "runtime/sim_thread.h"
 
@@ -362,6 +366,28 @@ std::uint64_t counter_value(const Kernel& k, const std::string& name) {
   }
   ADD_FAILURE() << "no counter " << name;
   return 0;
+}
+
+// Registration order is the export order. Each lock and policy counter pair
+// registers its second counter first, as every exported document lists
+// them; the kernel sequences the two registrations, so no compiler's
+// argument-evaluation order can swap them.
+TEST(KernelSmoke, PairedCountersRegisterInExportOrder) {
+  const Kernel k(one_core());
+  std::vector<std::string> names;
+  for (const auto& c : k.metric_registry().snapshot_counters()) {
+    names.push_back(c.name);
+  }
+  const std::vector<std::string> expected = {
+      "futex.bucket_locks_contended", "futex.bucket_locks",
+      "epoll.instance_locks_contended", "epoll.instance_locks",
+      "vb.chose_vb", "vb.decisions",
+      "bwd.windows_detected", "bwd.windows_evaluated"};
+  const auto first = std::find(names.begin(), names.end(), expected.front());
+  ASSERT_LE(first + static_cast<std::ptrdiff_t>(expected.size()), names.end());
+  EXPECT_EQ(std::vector<std::string>(
+                first, first + static_cast<std::ptrdiff_t>(expected.size())),
+            expected);
 }
 
 // A task alone on its core does not renew its slice in place: every expiry

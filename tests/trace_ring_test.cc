@@ -39,17 +39,6 @@ TEST(TraceRing, WrapsOverwritingOldestAndCountsDropped) {
   for (std::uint64_t i = 0; i < 4; ++i) EXPECT_EQ(out[i].arg0, 6 + i);
 }
 
-TEST(TraceRing, ClearResets) {
-  TraceRing r(2);
-  for (std::uint64_t i = 0; i < 5; ++i) r.push(make_event(i, i));
-  r.clear();
-  EXPECT_EQ(r.size(), 0u);
-  EXPECT_EQ(r.dropped(), 0u);
-  std::vector<TraceEvent> out;
-  r.copy_ordered(&out);
-  EXPECT_TRUE(out.empty());
-}
-
 TEST(Tracer, DisabledEmitsNothing) {
   sim::Engine e;
   TraceConfig cfg;  // enabled = false

@@ -181,6 +181,42 @@ TEST(Fleet, RunIsDeterministic) {
   EXPECT_NE(c.run().latency.p50(), ra.latency.p50());
 }
 
+TEST(Fleet, SecondRunKeepsAccumulatingConnectionRecords) {
+  // Each run rebuilds the hosts from the same seeds, so a second run issues
+  // exactly the first run's requests again; only the first run clears the
+  // slab, so every record's count doubles.
+  FleetConfig fc;
+  fc.n_hosts = 2;
+  fc.host = small_host();
+  fc.host.n_connections = 1024;
+  fc.kernel.topo = hw::Topology::make_cores(8, 1);
+  fc.arrival.kind = ArrivalKind::kPoisson;
+  fc.arrival.rate_per_sec = offered(fc.host, 0.5);
+  fc.warmup = 1_ms;
+  fc.window = 4_ms;
+  fc.drain = 1_ms;
+
+  ConnectionFleet fleet(fc);
+  const FleetResult first = fleet.run();
+  const std::vector<Connection> after_first(
+      fleet.connections(), fleet.connections() + fleet.total_connections());
+  const FleetResult second = fleet.run();
+  EXPECT_GT(first.active_connections, 0u);
+  EXPECT_EQ(second.active_connections, first.active_connections);
+  for (std::size_t i = 0; i < fleet.total_connections(); ++i) {
+    ASSERT_EQ(fleet.connections()[i].issued, 2 * after_first[i].issued) << i;
+  }
+}
+
+TEST(FleetDeathTest, ConnectionsBeforeRunDies) {
+  FleetConfig fc;
+  fc.n_hosts = 2;
+  fc.host = small_host();
+  const ConnectionFleet fleet(fc);
+  EXPECT_EQ(fleet.total_connections(), 2u * 4096u);
+  EXPECT_DEATH(fleet.connections(), "connection records read before run");
+}
+
 TEST(Fleet, ParallelRunMatchesSequential) {
   // jobs=N is a pure reordering of independent per-host simulations: every
   // aggregate and every per-connection record must match the sequential run
