@@ -67,8 +67,9 @@ inline bool export_and_check_trace(
     std::initializer_list<trace::EventKind> required) {
   if (!cli.tracing()) return true;
   if (!r.trace) {
-    std::fprintf(stderr, "trace: run captured no trace (EO_TRACE=OFF build "
-                         "or tracing not enabled on the run)\n");
+    std::fprintf(stderr,
+                 "trace: run captured no trace (tracing not enabled on the "
+                 "run)\n");
     return false;
   }
   const trace::Trace& tr = *r.trace;

@@ -22,8 +22,6 @@ BwdVerdict BwdDetector::evaluate(const hw::LbrState& lbr, const hw::Pmc& pmc,
     if (f_->bwd_use_tlb && pmc.tlb_misses() != 0) detected = false;
     v.detected = detected;
   }
-  m_evaluations_.inc();
-  if (v.detected) m_detections_.inc();
   if (truth.busy > 0) {
     EO_TRACE_EVENT(tracer_, core, trace::EventKind::kBwdSample, tid,
                    static_cast<std::uint64_t>(v.detected),

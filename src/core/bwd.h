@@ -10,7 +10,9 @@
 // The detector also receives the simulator's *ground truth* for the window
 // (did the core spend the whole busy window spinning at one site?), which
 // lets the accuracy tables (Tables 2 and 3) be computed as real confusion
-// matrices over windows rather than asserted.
+// matrices over windows rather than asserted. The detector counts nothing:
+// the kernel counts the windows it evaluates (`SchedStats::bwd_timer_fires`)
+// and the detections (`bwd_detections`).
 #pragma once
 
 #include <cstdint>
@@ -19,7 +21,6 @@
 #include "core/config.h"
 #include "hw/lbr.h"
 #include "hw/pmc.h"
-#include "obs/metrics.h"
 #include "trace/trace.h"
 
 namespace eo::core {
@@ -72,13 +73,6 @@ class BwdDetector {
   /// kBwdSample record (may be null).
   void set_tracer(trace::Tracer* t) { tracer_ = t; }
 
-  /// Wires the metric counters: windows evaluated and detections fired
-  /// (counter increments stay valid from this const-qualified evaluate).
-  void set_metrics(obs::Counter evaluations, obs::Counter detections) {
-    m_evaluations_ = evaluations;
-    m_detections_ = detections;
-  }
-
   /// Evaluates one window. `truth` is only used for the ground-truth label;
   /// detection consumes nothing but the modeled hardware state. `core` and
   /// `tid` only label the trace record.
@@ -89,8 +83,6 @@ class BwdDetector {
  private:
   const Features* f_;
   trace::Tracer* tracer_ = nullptr;
-  obs::Counter m_evaluations_;
-  obs::Counter m_detections_;
 };
 
 }  // namespace eo::core

@@ -8,13 +8,14 @@
 //
 // The mechanism itself (parking entities at the runqueue tail, restoring on
 // wake) lives in sched::Runqueue and the Kernel; this class isolates the
-// decision so it can be unit-tested and ablated.
+// decision so it can be unit-tested and ablated. It counts nothing: every
+// decision ends in the kernel's park_or_sleep, which counts it there
+// (`vb.decisions`), and the VB-chosen subset is `SchedStats::vb_parks`.
 #pragma once
 
 #include <cstdint>
 
 #include "core/config.h"
-#include "obs/metrics.h"
 #include "trace/trace.h"
 
 namespace eo::core {
@@ -26,12 +27,6 @@ class VbPolicy {
   /// Wires the event tracer: decisions emit kVbDecision records (may be
   /// null, and core/tid may be omitted by callers without that context).
   void set_tracer(trace::Tracer* t) { tracer_ = t; }
-
-  /// Wires the metric counters: decisions taken and the VB-chosen subset.
-  void set_metrics(obs::Counter decisions, obs::Counter chose_vb) {
-    m_decisions_ = decisions;
-    m_chose_vb_ = chose_vb;
-  }
 
   /// Should a futex_wait that would make the bucket hold `waiters_after`
   /// waiters (including the caller) block virtually?
@@ -55,8 +50,6 @@ class VbPolicy {
       // than the number of cores ... VB is turned off."
       vb = !f_->vb_auto_disable || waiters_after >= online_cores;
     }
-    m_decisions_.inc();
-    if (vb) m_chose_vb_.inc();
     EO_TRACE_EVENT(tracer_, core, trace::EventKind::kVbDecision, tid,
                    static_cast<std::uint64_t>(vb),
                    static_cast<std::uint64_t>(waiters_after));
@@ -65,8 +58,6 @@ class VbPolicy {
 
   const Features* f_;
   trace::Tracer* tracer_ = nullptr;
-  obs::Counter m_decisions_;
-  obs::Counter m_chose_vb_;
 };
 
 }  // namespace eo::core

@@ -57,6 +57,7 @@ Kernel::Kernel(KernelConfig cfg)
   epolls_.locks().set_tracer(&tracer_);
   vb_policy_.set_tracer(&tracer_);
   bwd_.set_tracer(&tracer_);
+  policy_->set_tracer(&tracer_);
   for (int i = 0; i < n; ++i) arm_timers(core(i));
   register_metrics();
   sampler_.start(
@@ -212,7 +213,7 @@ void Kernel::set_online_cores(int n) {
 // ---------------------------------------------------------------------------
 
 double Kernel::cpu_utilization_percent() const {
-  const SimDuration wall = now() - metrics_reset_time_;
+  const SimDuration wall = now();
   if (wall <= 0) return 0.0;
   double busy = 0;
   for (const auto& cp : cores_) {
@@ -237,17 +238,6 @@ SimDuration Kernel::total_spin_busy() const {
   return b;
 }
 
-void Kernel::reset_metrics() {
-  for (auto& cp : cores_) {
-    cp->metrics = CoreMetrics{};
-    if (cp->busy_valid) cp->busy_since = now();
-  }
-  stats_ = sched::SchedStats{};
-  bwd_accuracy_ = core::BwdAccuracy{};
-  wakeup_latency_.clear();
-  metrics_reset_time_ = now();
-}
-
 trace::Trace Kernel::snapshot_trace() const {
   trace::Trace tr = tracer_.snapshot();
   tr.task_names.reserve(tasks_.size());
@@ -266,38 +256,24 @@ void Kernel::register_metrics() {
   // Counters register in subsystem order; registration order is the export
   // order, so keep it stable.
   stats_.register_metrics(&r);
-  // The policy's counters are kernel-wide cells (one kernel, one host
-  // thread), registered in one shot.
-  sched::ObsHooks hooks;
-  hooks.tracer = &tracer_;
-  hooks.rq_enqueues = r.counter("sched.rq.enqueues");
-  hooks.rq_dequeues = r.counter("sched.rq.dequeues");
-  hooks.rq_picks = r.counter("sched.rq.picks");
-  hooks.balance_attempts = r.counter("sched.balance.attempts");
-  hooks.balance_pulls = r.counter("sched.balance.pulls");
-  policy_->attach(hooks);
-  // Each pair registers its second counter first: that is the order every
-  // exported document has carried, so it stays.
-  const obs::Counter futex_contended =
-      r.counter("futex.bucket_locks_contended");
-  const obs::Counter futex_locks = r.counter("futex.bucket_locks");
-  futex_.locks().set_metrics(futex_locks, futex_contended);
-  const obs::Counter epoll_contended =
-      r.counter("epoll.instance_locks_contended");
-  const obs::Counter epoll_locks = r.counter("epoll.instance_locks");
-  epolls_.locks().set_metrics(epoll_locks, epoll_contended);
-  const obs::Counter vb_chose = r.counter("vb.chose_vb");
-  const obs::Counter vb_decisions = r.counter("vb.decisions");
-  vb_policy_.set_metrics(vb_decisions, vb_chose);
-  const obs::Counter bwd_detected = r.counter("bwd.windows_detected");
-  const obs::Counter bwd_evaluated = r.counter("bwd.windows_evaluated");
-  bwd_.set_metrics(bwd_evaluated, bwd_detected);
+  policy_->register_metrics(&r);
+  // Each pair registers its subset before its total: that is the order every
+  // exported document has carried, so it stays. The VB choices and the BWD
+  // windows are SchedStats cells under a second name.
+  r.register_counter("futex.bucket_locks_contended", &futex_.locks().contended);
+  r.register_counter("futex.bucket_locks", &futex_.locks().locks);
+  r.register_counter("epoll.instance_locks_contended",
+                     &epolls_.locks().contended);
+  r.register_counter("epoll.instance_locks", &epolls_.locks().locks);
+  r.register_counter("vb.chose_vb", &stats_.vb_parks);
+  r.register_counter("vb.decisions", &vb_decisions_);
+  r.register_counter("bwd.windows_detected", &stats_.bwd_detections);
+  r.register_counter("bwd.windows_evaluated", &stats_.bwd_timer_fires);
   r.register_counter("bwd.truth_windows", &bwd_accuracy_.windows);
   r.register_counter("bwd.truth_tp", &bwd_accuracy_.tp);
   r.register_counter("bwd.truth_fp", &bwd_accuracy_.fp);
   r.register_counter("bwd.truth_fn", &bwd_accuracy_.fn);
   r.register_counter("bwd.truth_tn", &bwd_accuracy_.tn);
-  policy_->export_tunables(&r);
   r.register_gauge("kern.live_tasks",
                    [this] { return static_cast<std::int64_t>(live_tasks_); });
   r.register_gauge("kern.online_cores",
@@ -359,7 +335,6 @@ obs::MetricsDoc Kernel::snapshot_metrics() const {
 
 obs::TaskstatsDoc Kernel::snapshot_taskstats() const {
   obs::TaskstatsDoc doc;
-  if (!obs::kTaskstatsEnabled) return doc;
   doc.tasks.reserve(tasks_.size());
   for (const auto& tp : tasks_) {
     const Task& t = *tp;
@@ -981,6 +956,7 @@ bool Kernel::handle_futex_wait(Core& c, Task* t, const FutexWaitAction& a) {
 void Kernel::park_or_sleep(Core& c, Task* t, SimDuration cost,
                            obs::TaskDelayState sleep_state,
                            std::uint64_t& sleeps) {
+  ++vb_decisions_;
   if (t->waiter.vb) {
     ++stats_.vb_parks;
     t->overhead += cost + cfg_.costs.vb_park;

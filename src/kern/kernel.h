@@ -168,13 +168,11 @@ class Kernel {
   const CoreMetrics& core_metrics(int cpu) const {
     return cores_[static_cast<size_t>(cpu)]->metrics;
   }
-  /// Aggregate utilization of online cores since the last reset, as a
-  /// percentage where each core contributes up to 100 (Table 1 style).
+  /// Aggregate utilization of online cores since time 0, as a percentage
+  /// where each core contributes up to 100 (Table 1 style).
   double cpu_utilization_percent() const;
   SimDuration total_busy() const;
   SimDuration total_spin_busy() const;
-  /// Clears utilization/stat counters (not task state); call after warmup.
-  void reset_metrics();
 
   const std::vector<std::unique_ptr<Task>>& tasks() const { return tasks_; }
 
@@ -362,11 +360,13 @@ class Kernel {
 
   sched::SchedStats stats_;
   core::BwdAccuracy bwd_accuracy_;
+  /// Futex and epoll blocking decisions taken ("vb.decisions"): one per
+  /// park_or_sleep call.
+  std::uint64_t vb_decisions_ = 0;
   obs::MetricRegistry metric_registry_;
   obs::InvariantWatchdog watchdog_;
   obs::Sampler sampler_;
   Histogram wakeup_latency_;
-  SimTime metrics_reset_time_ = 0;
   SimTime last_exit_time_ = 0;
   bool pinned_violation_ = false;
   Rng rng_;

@@ -10,12 +10,12 @@
 //
 // The wait-queue locks (futex buckets, epoll instances) are also counted and
 // traced; `TracedLocks` is that one acquire path, one per table of queues.
+// The runqueue locks are plain `KLock`s.
 #pragma once
 
 #include <cstdint>
 
 #include "common/units.h"
-#include "obs/metrics.h"
 #include "trace/trace.h"
 
 namespace eo::kern {
@@ -26,43 +26,25 @@ class KLock {
   /// lock was free); the caller's total cost is wait + hold.
   SimDuration acquire(SimTime now, SimDuration hold) {
     const SimTime start = now > next_free_ ? now : next_free_;
-    const SimDuration wait = start - now;
     next_free_ = start + hold;
-    ++acquisitions_;
-    total_wait_ += wait;
-    total_hold_ += hold;
-    return wait;
+    return start - now;
   }
-
-  /// True if an acquire at `now` would not wait.
-  bool free_at(SimTime now) const { return next_free_ <= now; }
-
-  std::uint64_t acquisitions() const { return acquisitions_; }
-  SimDuration total_wait() const { return total_wait_; }
-  SimDuration total_hold() const { return total_hold_; }
 
  private:
   SimTime next_free_ = 0;
-  std::uint64_t acquisitions_ = 0;
-  SimDuration total_wait_ = 0;
-  SimDuration total_hold_ = 0;
 };
 
 /// The counted, traced acquire shared by one table of wait-queue locks:
 /// every acquisition bumps `locks`, a contended one (nonzero queueing delay,
 /// the paper's wakeup-path serialization) also bumps `contended`, and each
-/// emits a `kind` record (arg0 wait ns, arg1 hold ns) on `core`/`tid`.
+/// emits a `kind` record (arg0 wait ns, arg1 hold ns) on `core`/`tid`. The
+/// kernel registers both fields as counters.
 class TracedLocks {
  public:
   explicit TracedLocks(trace::EventKind kind) : kind_(kind) {}
 
   /// Wires the event tracer (may be null).
   void set_tracer(trace::Tracer* t) { tracer_ = t; }
-  /// Wires the acquisition counter and its contended subset.
-  void set_metrics(obs::Counter locks, obs::Counter contended) {
-    m_locks_ = locks;
-    m_contended_ = contended;
-  }
 
   /// Acquires `lock` at `now` for `hold` and returns the wait time; the
   /// caller's total cost is wait + hold. Inline: this sits on the futex and
@@ -70,18 +52,19 @@ class TracedLocks {
   SimDuration acquire(KLock& lock, SimTime now, SimDuration hold, int core,
                       std::int32_t tid) {
     const SimDuration wait = lock.acquire(now, hold);
-    m_locks_.inc();
-    if (wait > 0) m_contended_.inc();
+    ++locks;
+    if (wait > 0) ++contended;
     EO_TRACE_EVENT(tracer_, core, kind_, tid, static_cast<std::uint64_t>(wait),
                    static_cast<std::uint64_t>(hold));
     return wait;
   }
 
+  std::uint64_t locks = 0;
+  std::uint64_t contended = 0;
+
  private:
   trace::EventKind kind_;
   trace::Tracer* tracer_ = nullptr;
-  obs::Counter m_locks_;
-  obs::Counter m_contended_;
 };
 
 }  // namespace eo::kern

@@ -48,31 +48,4 @@ void TablePrinter::print() const {
   os_.flush();
 }
 
-void TablePrinter::print_csv() const {
-  // RFC 4180: cells containing a comma, quote, CR, or LF are quoted with
-  // embedded quotes doubled; everything else is emitted verbatim.
-  auto csv_cell = [&](const std::string& cell) {
-    if (cell.find_first_of(",\"\r\n") == std::string::npos) {
-      os_ << cell;
-      return;
-    }
-    os_ << '"';
-    for (char ch : cell) {
-      if (ch == '"') os_ << '"';
-      os_ << ch;
-    }
-    os_ << '"';
-  };
-  auto csv_row = [&](const std::vector<std::string>& row) {
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (i) os_ << ',';
-      csv_cell(row[i]);
-    }
-    os_ << '\n';
-  };
-  csv_row(headers_);
-  for (const auto& row : rows_) csv_row(row);
-  os_.flush();
-}
-
 }  // namespace eo::metrics

@@ -1,8 +1,8 @@
 // Aligned table output for the bench harnesses.
 //
 // Every bench regenerates a paper table/figure as rows on stdout; this
-// printer keeps the output machine-greppable (a stable header, aligned
-// columns, and an optional CSV mirror).
+// printer keeps the output machine-greppable (a stable header and aligned
+// columns).
 #pragma once
 
 #include <iostream>
@@ -25,9 +25,6 @@ class TablePrinter {
 
   /// Prints the table (header, separator, rows), aligned.
   void print() const;
-
-  /// Prints as CSV (for plotting scripts).
-  void print_csv() const;
 
  private:
   std::ostream& os_;

@@ -4,14 +4,6 @@
 
 namespace eo::obs {
 
-namespace {
-/// Sink for unwired handles. Thread-local so kernels running concurrently on
-/// different host threads never share (and race on) one cell.
-thread_local std::uint64_t g_counter_sink = 0;
-}  // namespace
-
-Counter::Counter() : cell_(&g_counter_sink) {}
-
 void MetricRegistry::check_new_name(std::string_view name) const {
   EO_CHECK(!name.empty()) << "empty metric name";
   EO_CHECK(!has(name)) << "duplicate metric name '" << name << "'";
@@ -28,13 +20,6 @@ bool MetricRegistry::has(std::string_view name) const {
     if (h.name == name) return true;
   }
   return false;
-}
-
-Counter MetricRegistry::counter(std::string_view name) {
-  check_new_name(name);
-  owned_.push_back(0);
-  counters_.push_back({name, &owned_.back()});
-  return Counter(&owned_.back());
 }
 
 void MetricRegistry::register_counter(std::string_view name,

@@ -2,10 +2,10 @@
 //
 // The registry names three metric kinds:
 //
-//  * counters — monotonically increasing uint64 cells. The hot-path handle
-//    (`Counter`) is a raw pointer increment: no name lookup, no branch, no
-//    indirection beyond the cell itself. With `EO_METRICS=OFF` (CMake) the
-//    increment compiles to nothing, mirroring `EO_TRACE`.
+//  * counters — monotonically increasing uint64 cells owned by the code that
+//    bumps them (a `SchedStats` field, a lock table's acquisition count) and
+//    registered here by address. The hot path is a plain `++field`; the
+//    registry only reads the cells at snapshot time.
 //  * gauges — instantaneous int64 values read through a callback at snapshot
 //    time (live tasks, online cores). Never on the hot path.
 //  * histograms — pointers to externally owned `Histogram`s (wakeup latency);
@@ -13,10 +13,7 @@
 //
 // Registration happens once, at kernel construction, and the registration
 // order is the export order — snapshots of the same simulation are therefore
-// byte-identical. A default-constructed `Counter` points at a thread_local
-// sink cell, so modules that were never wired still increment something
-// valid (and, because the sink is thread-local, concurrently running kernels
-// on different host threads never race on it).
+// byte-identical.
 //
 // Name lifetime: the registry keeps every name as a `std::string_view` and
 // copies none of them, so a name must have static storage duration (a string
@@ -25,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -37,26 +33,6 @@ class Histogram;
 
 namespace eo::obs {
 
-/// Hot-path counter handle: one 64-bit add, or nothing when EO_METRICS=OFF.
-class Counter {
- public:
-  /// Unwired handle: increments land in a thread-local sink cell.
-  Counter();
-
-  void inc(std::uint64_t n = 1) const {
-#if defined(EO_METRICS_ENABLED) && EO_METRICS_ENABLED
-    *cell_ += n;
-#else
-    (void)n;
-#endif
-  }
-
- private:
-  friend class MetricRegistry;
-  explicit Counter(std::uint64_t* cell) : cell_(cell) {}
-  std::uint64_t* cell_;
-};
-
 class MetricRegistry {
  public:
   MetricRegistry() = default;
@@ -66,11 +42,8 @@ class MetricRegistry {
   // Every `name` below must have static storage duration (see "Name
   // lifetime" above) and be unique across the registry.
 
-  /// Registers a registry-owned counter cell and returns its handle.
-  Counter counter(std::string_view name);
-
-  /// Registers an externally owned counter cell (e.g. a SchedStats field).
-  /// The cell must outlive the registry.
+  /// Registers a counter cell (e.g. a SchedStats field). The cell must
+  /// outlive the registry's snapshots.
   void register_counter(std::string_view name, const std::uint64_t* cell);
 
   /// Registers a gauge; `read` is invoked at snapshot time.
@@ -82,7 +55,6 @@ class MetricRegistry {
 
   std::size_t n_counters() const { return counters_.size(); }
   std::size_t n_gauges() const { return gauges_.size(); }
-  std::size_t n_histograms() const { return histograms_.size(); }
   bool has(std::string_view name) const;
 
   struct CounterValue {
@@ -124,8 +96,6 @@ class MetricRegistry {
 
   void check_new_name(std::string_view name) const;
 
-  /// Owned counter cells; deque so registration never invalidates handles.
-  std::deque<std::uint64_t> owned_;
   std::vector<CounterEntry> counters_;
   std::vector<GaugeEntry> gauges_;
   std::vector<HistogramRef> histograms_;

@@ -27,8 +27,7 @@
 //
 // Everything is allocation-free on the simulation hot path (the accumulators
 // are plain arrays inside `Task`) and deterministic (snapshots are pure
-// functions of the simulation). The state and lifecycle are kept in every
-// build; only the time arrays compile away under CMake `-DEO_METRICS=OFF`.
+// functions of the simulation).
 #pragma once
 
 #include <cstddef>
@@ -87,12 +86,6 @@ inline constexpr std::size_t kNumTaskDelayStates = 8;
 /// Wire name ("oncpu", "vb_parked", ...).
 const char* to_string(TaskDelayState s);
 
-#if defined(EO_METRICS_ENABLED) && EO_METRICS_ENABLED
-inline constexpr bool kTaskstatsEnabled = true;
-#else
-inline constexpr bool kTaskstatsEnabled = false;
-#endif
-
 /// A point-in-time copy of one task's accumulated state times. The open
 /// interval since the last transition is charged to the current state, so
 /// `total()` equals the task's lifetime at the snapshot instant exactly
@@ -121,20 +114,14 @@ struct TaskDelaySnapshot {
 };
 
 /// A task's one state and its per-state time accumulator, embedded in
-/// `kern::Task`. The lifecycle (not started, started, finished) and the
-/// current state are kept in every build, because the kernel's scheduling
-/// checks read them. Only the time arrays compile away under
-/// `-DEO_METRICS=OFF`, where `lifetime` and `snapshot` read zero.
+/// `kern::Task`. The kernel's scheduling checks read the lifecycle (not
+/// started, started, finished) and the current state.
 class TaskDelayAcct {
  public:
   /// Begins the task's life in state `s` (kernel `start_task`).
   void start(SimTime now, TaskDelayState s) {
-#if defined(EO_METRICS_ENABLED) && EO_METRICS_ENABLED
     start_ = now;
     since_ = now;
-#else
-    (void)now;
-#endif
     state_ = s;
     started_ = true;
   }
@@ -153,9 +140,7 @@ class TaskDelayAcct {
   void finish(SimTime now) {
     if (!alive()) return;
     charge(now);
-#if defined(EO_METRICS_ENABLED) && EO_METRICS_ENABLED
     end_ = now;
-#endif
     finished_ = true;
   }
 
@@ -165,7 +150,6 @@ class TaskDelayAcct {
   /// The current state; meaningful only while `alive()`.
   TaskDelayState state() const { return state_; }
 
-#if defined(EO_METRICS_ENABLED) && EO_METRICS_ENABLED
   /// Ground-truth lifetime: start -> exit (or `now` while alive).
   SimDuration lifetime(SimTime now) const {
     if (!started_) return 0;
@@ -189,13 +173,6 @@ class TaskDelayAcct {
   SimTime since_ = 0;
   SimTime start_ = 0;
   SimTime end_ = 0;
-#else
-  SimDuration lifetime(SimTime) const { return 0; }
-  TaskDelaySnapshot snapshot(SimTime) const { return {}; }
-
- private:
-  void charge(SimTime) {}
-#endif
   TaskDelayState state_ = TaskDelayState::kRunnable;
   bool started_ = false;
   bool finished_ = false;

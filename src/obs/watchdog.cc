@@ -95,25 +95,6 @@ int InvariantWatchdog::check(SimTime ts, const CoreSample* cores, int n_cores,
                std::to_string(g.vb_parks - g.vb_unparks));
   }
 
-  if (have_prev_) {
-    const struct {
-      const char* name;
-      std::uint64_t prev, cur;
-    } monotonic[] = {
-        {"context_switches", prev_.context_switches, g.context_switches},
-        {"wakeups", prev_.wakeups, g.wakeups},
-        {"migrations", prev_.migrations, g.migrations},
-        {"vb_parks", prev_.vb_parks, g.vb_parks},
-        {"vb_unparks", prev_.vb_unparks, g.vb_unparks},
-    };
-    for (const auto& m : monotonic) {
-      if (m.cur < m.prev) {
-        record(ts, "counter_monotonic",
-               std::string(m.name) + " regressed " + std::to_string(m.prev) +
-                   " -> " + std::to_string(m.cur));
-      }
-    }
-  }
   if (registry_ != nullptr) {
     // Values only, into a reused buffer: no strings, no allocation once the
     // buffers have warmed to the registry size. Names are looked up only if
@@ -135,9 +116,6 @@ int InvariantWatchdog::check(SimTime ts, const CoreSample* cores, int n_cores,
     prev_counters_.swap(cur_counters_);
     have_prev_counters_ = true;
   }
-
-  prev_ = g;
-  have_prev_ = true;
   return static_cast<int>(violations_ - before);
 }
 
@@ -145,7 +123,6 @@ void InvariantWatchdog::clear() {
   checks_ = 0;
   violations_ = 0;
   records_.clear();
-  have_prev_ = false;
   prev_counters_.clear();
   cur_counters_.clear();
   have_prev_counters_ = false;

@@ -10,8 +10,8 @@
 //   * Σ per-core VB-parked == vb_parks − vb_unparks;
 //   * per-core sanity: 0 <= vb_parked <= rq_depth, schedulable == rq_depth −
 //     vb_parked, bwd_skipped never exceeds the queued entities;
-//   * monotonic counters (SchedStats and every registered counter) never
-//     regress between samples.
+//   * every registered counter (the SchedStats fields among them) never
+//     regresses between samples.
 //
 // A violation means a bookkeeping bug in the kernel, not in the workload; a
 // clean run must report zero. The checker is pure (state in, verdict out),
@@ -36,8 +36,8 @@ struct Violation {
 
 class InvariantWatchdog {
  public:
-  /// `registry` supplies the monotonic-counter set; may be null (the
-  /// SchedStats counters inside GlobalSample are still checked).
+  /// `registry` supplies the monotonic-counter set; may be null (no
+  /// counter is then checked).
   explicit InvariantWatchdog(const MetricRegistry* registry = nullptr)
       : registry_(registry) {}
 
@@ -69,8 +69,6 @@ class InvariantWatchdog {
   std::uint64_t checks_ = 0;
   std::uint64_t violations_ = 0;
   std::vector<Violation> records_;
-  bool have_prev_ = false;
-  GlobalSample prev_;
   /// Reused counter buffers (swapped each check, so neither reallocates).
   std::vector<std::uint64_t> prev_counters_;
   std::vector<std::uint64_t> cur_counters_;

@@ -26,7 +26,7 @@ struct CfsParams {
   /// Imbalance (in runnable tasks) required before pulling.
   int balance_imbalance = 2;
 };
-// SchedPolicy::export_tunables exports the effective tunables as gauges (the
+// SchedPolicy::register_metrics exports the effective tunables as gauges (the
 // /proc/sys/kernel sched_* analogue) under a "sched.<policy>." prefix; which
 // ones each discipline exports is listed in the policy table in policy.cc.
 

@@ -5,18 +5,18 @@ namespace eo::sched {
 std::optional<BalanceDecision> LoadBalancer::find_pull(
     int dst_cpu, const std::vector<Runqueue*>& rqs,
     FunctionRef<bool(int)> online, bool newly_idle) const {
-  m_attempts_.inc();
+  ++counters_->balance_attempts;
   const int threshold = newly_idle ? 1 : params_->balance_imbalance;
   // Prefer a same-socket pull; only cross sockets if the local socket is
   // balanced.
   if (auto d = find_pull_in(dst_cpu, rqs, online, /*same_socket_only=*/true,
                             threshold)) {
-    m_pulls_.inc();
+    ++counters_->balance_pulls;
     return d;
   }
   auto d = find_pull_in(dst_cpu, rqs, online, /*same_socket_only=*/false,
                         threshold);
-  if (d) m_pulls_.inc();
+  if (d) ++counters_->balance_pulls;
   return d;
 }
 

@@ -18,7 +18,6 @@
 
 #include "common/function_ref.h"
 #include "hw/topology.h"
-#include "obs/metrics.h"
 #include "sched/cfs.h"
 #include "sched/runqueue.h"
 
@@ -36,15 +35,11 @@ struct BalanceDecision {
 
 class LoadBalancer {
  public:
-  LoadBalancer(const hw::Topology* topo, const CfsParams* params)
-      : topo_(topo), params_(params) {}
-
-  /// Wires the metric counters (balance attempts and decided pulls) from
-  /// the scheduler's registration hooks.
-  void attach(const ObsHooks& hooks) {
-    m_attempts_ = hooks.balance_attempts;
-    m_pulls_ = hooks.balance_pulls;
-  }
+  /// Every find_pull bumps `counters->balance_attempts`, and a decided pull
+  /// `balance_pulls`. All three pointers must outlive the balancer.
+  LoadBalancer(const hw::Topology* topo, const CfsParams* params,
+               SchedCounters* counters)
+      : topo_(topo), params_(params), counters_(counters) {}
 
   /// Finds a task to pull to `dst_cpu`. `rqs[i]` is core i's runqueue;
   /// `online(i)` says whether core i participates. `newly_idle` lowers the
@@ -64,8 +59,7 @@ class LoadBalancer {
 
   const hw::Topology* topo_;
   const CfsParams* params_;
-  obs::Counter m_attempts_;
-  obs::Counter m_pulls_;
+  SchedCounters* counters_;
 };
 
 }  // namespace eo::sched

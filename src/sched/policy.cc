@@ -193,11 +193,11 @@ SchedPolicy::SchedPolicy(const PolicyRow& row, const hw::Topology* topo,
     : row_(&row),
       cfs_(cfs),
       tuning_(row.tuning(params)),
-      balancer_(topo, cfs) {
+      balancer_(topo, cfs, &counters_) {
   const int n = topo->n_cores();
   rq_views_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    rqs_.emplace_back(i, cfs_, &tuning_);
+    rqs_.emplace_back(i, cfs_, &counters_, &tuning_);
     rq_views_.push_back(&rqs_.back());
   }
   if (row.predicts) {
@@ -211,12 +211,16 @@ SchedPolicy::~SchedPolicy() = default;
 
 const char* SchedPolicy::name() const { return row_->name; }
 
-void SchedPolicy::attach(const ObsHooks& hooks) {
-  for (Runqueue& q : rqs_) q.attach(hooks);
-  balancer_.attach(hooks);
+void SchedPolicy::set_tracer(trace::Tracer* t) {
+  for (Runqueue& q : rqs_) q.set_tracer(t);
 }
 
-void SchedPolicy::export_tunables(obs::MetricRegistry* reg) const {
+void SchedPolicy::register_metrics(obs::MetricRegistry* reg) const {
+  reg->register_counter("sched.rq.enqueues", &counters_.rq_enqueues);
+  reg->register_counter("sched.rq.dequeues", &counters_.rq_dequeues);
+  reg->register_counter("sched.rq.picks", &counters_.rq_picks);
+  reg->register_counter("sched.balance.attempts", &counters_.balance_attempts);
+  reg->register_counter("sched.balance.pulls", &counters_.balance_pulls);
   for (const Tunable& t : row_->tunables) {
     reg->register_gauge(t.name, [this, read = t.read] {
       return read(Effective{*cfs_, tuning_, history_.get()});

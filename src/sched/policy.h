@@ -94,7 +94,7 @@ class SchedPolicy {
   /// Builds `row`'s discipline for `topo`'s cores; use make_policy.
   SchedPolicy(const PolicyRow& row, const hw::Topology* topo,
               const CfsParams* cfs, const PolicyParams& params);
-  // Not copyable: every Runqueue points at tuning_.
+  // Not copyable: every Runqueue points at tuning_ and counters_.
   SchedPolicy(const SchedPolicy&) = delete;
   SchedPolicy& operator=(const SchedPolicy&) = delete;
   ~SchedPolicy();
@@ -103,12 +103,13 @@ class SchedPolicy {
   const char* name() const;
 
   // --- observability registration ---
-  /// Wires tracing and metric counters in one shot (kernel boot).
-  void attach(const ObsHooks& hooks);
-  /// Registers the effective tunables as gauges under a "sched.<name>."
-  /// prefix, so an exported metrics document records which scheduler
-  /// configuration produced it. `this` must outlive `reg`.
-  void export_tunables(obs::MetricRegistry* reg) const;
+  /// Wires the event tracer into every runqueue (may be null).
+  void set_tracer(trace::Tracer* t);
+  /// Registers the queue and balancer counters ("sched.rq.*",
+  /// "sched.balance.*"), then the effective tunables as gauges under a
+  /// "sched.<name>." prefix, so an exported metrics document records which
+  /// scheduler configuration produced it. `this` must outlive `reg`.
+  void register_metrics(obs::MetricRegistry* reg) const;
 
   // --- per-core queue operations ---
   /// Adds a runnable entity. `wakeup` requests wake placement; a VB-blocked
@@ -204,12 +205,14 @@ class SchedPolicy {
     return *rq_views_[static_cast<std::size_t>(cpu)];
   }
 
-  // 176 bytes, one object per kernel. Growing it into the next malloc size
-  // class shifts when glibc trims the heap, which moved perfbench's serve
-  // setup_s by ~24% with no change to any timed code.
+  // 208 bytes, one object per kernel. Its malloc size class can decide when
+  // glibc trims the heap: growing it once moved a host-time reading by ~24%
+  // with no change to any timed code, so compare sizes in paired runs.
   const PolicyRow* row_;
   const CfsParams* cfs_;
   QueueTuning tuning_;
+  /// Bumped by every Runqueue and the balancer.
+  SchedCounters counters_;
   std::deque<Runqueue> rqs_;  // deque: stable addresses, Runqueue is unmovable
   /// Runqueue views, built once: `rq()` indexes them (a flat array, not
   /// deque arithmetic, on every pick), and the balancer gets them as is —

@@ -35,7 +35,7 @@ void Runqueue::enqueue(SchedEntity* se, bool wakeup) {
   }
   tree_.insert(se);
   ++nr_running_;
-  m_enqueues_.inc();
+  ++counters_->rq_enqueues;
   EO_TRACE_EVENT(tracer_, cpu_, trace::EventKind::kEnqueue, se->tid,
                  static_cast<std::uint64_t>(nr_running_),
                  static_cast<std::uint64_t>(se->vruntime));
@@ -54,7 +54,7 @@ void Runqueue::dequeue(SchedEntity* se) {
     se->bwd_skip_seq = 0;
     --nr_bwd_skipped_;
   }
-  m_dequeues_.inc();
+  ++counters_->rq_dequeues;
   update_min_vruntime();
   EO_TRACE_EVENT(tracer_, cpu_, trace::EventKind::kDequeue, se->tid,
                  static_cast<std::uint64_t>(nr_running_),
@@ -115,7 +115,7 @@ SchedEntity* Runqueue::pick_next() {
   }
   tree_.erase(chosen);
   curr_ = chosen;
-  m_picks_.inc();
+  ++counters_->rq_picks;
   EO_TRACE_EVENT(tracer_, cpu_, trace::EventKind::kPickNext, chosen->tid,
                  static_cast<std::uint64_t>(nr_running_),
                  static_cast<std::uint64_t>(chosen->vruntime));

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "common/units.h"
-#include "obs/metrics.h"
 #include "sched/cfs.h"
 #include "sched/entity.h"
 #include "sched/rbtree.h"
@@ -32,18 +31,17 @@ namespace eo::sched {
 
 class Runqueue;
 
-/// Everything the scheduler may report into, handed over in one registration
-/// call (SchedPolicy::attach, which passes it on to every Runqueue and the
-/// LoadBalancer) instead of per-subsystem setter pairs. All counters are
-/// kernel-wide cells (one kernel is single-host-threaded, so plain adds are
-/// safe); any member may be left default/null.
-struct ObsHooks {
-  trace::Tracer* tracer = nullptr;
-  obs::Counter rq_enqueues;
-  obs::Counter rq_dequeues;
-  obs::Counter rq_picks;
-  obs::Counter balance_attempts;
-  obs::Counter balance_pulls;
+/// The scheduler's counters: one set per SchedPolicy, bumped by each of its
+/// Runqueues and its LoadBalancer through a pointer handed over at
+/// construction (one kernel is single-host-threaded, so plain adds are
+/// safe). SchedPolicy::register_metrics registers them as "sched.rq.*" and
+/// "sched.balance.*".
+struct SchedCounters {
+  std::uint64_t rq_enqueues = 0;
+  std::uint64_t rq_dequeues = 0;
+  std::uint64_t rq_picks = 0;
+  std::uint64_t balance_attempts = 0;
+  std::uint64_t balance_pulls = 0;
 };
 
 /// Queue-discipline knobs. The defaults reproduce CFS exactly; FIFO-family
@@ -78,23 +76,19 @@ class PickBias {
 
 class Runqueue {
  public:
-  /// `tuning == nullptr` means the CFS defaults. `params` and `tuning` must
-  /// outlive the queue.
-  Runqueue(int cpu, const CfsParams* params,
+  /// `tuning == nullptr` means the CFS defaults. `params`, `counters` and
+  /// `tuning` must outlive the queue.
+  Runqueue(int cpu, const CfsParams* params, SchedCounters* counters,
            const QueueTuning* tuning = nullptr)
-      : cpu_(cpu), params_(params), tuning_(tuning ? tuning : &kCfsTuning) {}
+      : cpu_(cpu),
+        params_(params),
+        tuning_(tuning ? tuning : &kCfsTuning),
+        counters_(counters) {}
 
   int cpu() const { return cpu_; }
 
-  /// Wires tracing and metric counters in one registration (counters are
-  /// shared across all of a kernel's runqueues — one kernel is
-  /// single-threaded, so plain adds are safe).
-  void attach(const ObsHooks& hooks) {
-    tracer_ = hooks.tracer;
-    m_enqueues_ = hooks.rq_enqueues;
-    m_dequeues_ = hooks.rq_dequeues;
-    m_picks_ = hooks.rq_picks;
-  }
+  /// Wires the event tracer (may be null).
+  void set_tracer(trace::Tracer* t) { tracer_ = t; }
 
   /// Installs a pick-next tie-break hook (may be null).
   void set_pick_bias(PickBias* bias) { bias_ = bias; }
@@ -188,10 +182,8 @@ class Runqueue {
   int cpu_;
   const CfsParams* params_;
   const QueueTuning* tuning_;
+  SchedCounters* counters_;
   trace::Tracer* tracer_ = nullptr;
-  obs::Counter m_enqueues_;
-  obs::Counter m_dequeues_;
-  obs::Counter m_picks_;
   PickBias* bias_ = nullptr;
   RbTree<SchedEntity, &SchedEntity::rb, ByVruntime> tree_;
   SchedEntity* curr_ = nullptr;

@@ -1,7 +1,5 @@
 #include "sched/sched_stats.h"
 
-#include <sstream>
-
 #include "obs/metrics.h"
 
 namespace eo::sched {
@@ -13,21 +11,9 @@ constexpr std::size_t kNumFields = 0 EO_SCHED_STATS_FIELDS(EO_SCHED_STATS_COUNT)
 }  // namespace
 
 // A field added to the struct but not the X-macro changes sizeof and fails
-// here; one added to the macro flows into summary() and the bridge for free.
+// here; one added to the macro flows into the registry bridge for free.
 static_assert(sizeof(SchedStats) == kNumFields * sizeof(std::uint64_t),
               "SchedStats field missing from EO_SCHED_STATS_FIELDS");
-
-std::string SchedStats::summary() const {
-  std::ostringstream os;
-  bool first = true;
-#define EO_SCHED_STATS_PRINT(field)          \
-  if (!first) os << ' ';                     \
-  os << #field "=" << field;                 \
-  first = false;
-  EO_SCHED_STATS_FIELDS(EO_SCHED_STATS_PRINT)
-#undef EO_SCHED_STATS_PRINT
-  return os.str();
-}
 
 void SchedStats::register_metrics(obs::MetricRegistry* reg) const {
 #define EO_SCHED_STATS_REGISTER(field) \

@@ -5,14 +5,13 @@
 // the tests and benches.
 //
 // The field list lives in the `EO_SCHED_STATS_FIELDS` X-macro so that the
-// struct, `summary()`, and the metric-registry bridge can never drift apart:
-// a new counter added to the macro appears in all three automatically, and a
-// field added to the struct directly trips the sizeof static_assert in
-// sched_stats.cc (see sched_stats_test).
+// struct and the metric-registry bridge can never drift apart: a new counter
+// added to the macro appears in both automatically, and a field added to the
+// struct directly trips the sizeof static_assert in sched_stats.cc (see
+// sched_stats_test).
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "common/units.h"
 
@@ -58,9 +57,6 @@ struct SchedStats {
   std::uint64_t total_migrations() const {
     return migrations_in_node + migrations_cross_node;
   }
-
-  /// "name=value" pairs for every field, in declaration order.
-  std::string summary() const;
 
   /// Registers every field as an external counter named "sched.<field>".
   /// `this` must outlive the registry's snapshots.

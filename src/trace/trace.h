@@ -4,12 +4,9 @@
 // the kernel stack emits fixed-size POD `TraceEvent` records into per-core
 // ring buffers. Emission is designed to be negligible on the fast path:
 //
-//  * compile-time gate — with `EO_TRACE=OFF` (CMake) the `EO_TRACE_EVENT`
-//    macro expands to nothing, so instrumented code carries zero cost;
-//  * runtime gate — with tracing compiled in but disabled, `Tracer::emit`
-//    is a single predicted branch; ring storage is only reserved once
-//    tracing is enabled, and a page of it is touched only when an event
-//    lands there;
+//  * runtime gate — with tracing disabled, `Tracer::emit` is a single
+//    predicted branch; ring storage is only reserved once tracing is
+//    enabled, and a page of it is touched only when an event lands there;
 //  * fixed-capacity rings — emission never allocates; when a ring wraps the
 //    oldest records are overwritten and counted as dropped.
 //
@@ -160,9 +157,7 @@ class Tracer {
 }  // namespace eo::trace
 
 // Emit macro used at every instrumentation point. `tracer` may be null (the
-// module was never wired); with EO_TRACE=OFF the whole call compiles out and
-// its arguments are not evaluated.
-#if defined(EO_TRACE_ENABLED) && EO_TRACE_ENABLED
+// module was never wired); a disabled tracer returns from `emit` at once.
 #define EO_TRACE_EVENT(tracer, core, kind, tid, arg0, arg1)               \
   do {                                                                    \
     ::eo::trace::Tracer* eo_trace_t_ = (tracer);                          \
@@ -170,17 +165,3 @@ class Tracer {
       eo_trace_t_->emit((core), (kind), (tid), (arg0), (arg1));           \
     }                                                                     \
   } while (0)
-#else
-// Arguments are referenced in dead code (never evaluated at runtime) so an
-// EO_TRACE=OFF build does not emit unused-variable warnings at call sites.
-#define EO_TRACE_EVENT(tracer, core, kind, tid, arg0, arg1)              \
-  do {                                                                   \
-    if (false) {                                                         \
-      (void)(tracer);                                                    \
-      (void)(core);                                                      \
-      (void)(tid);                                                       \
-      (void)(arg0);                                                      \
-      (void)(arg1);                                                      \
-    }                                                                    \
-  } while (0)
-#endif

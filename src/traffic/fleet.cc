@@ -125,58 +125,56 @@ void ServeHost::complete(std::uint32_t slot, SimTime now, int worker,
   const std::uint32_t ci = req.conn_and_op & ~kOpSetBit;
   const SimDuration lat = now - req.arrival;
   latency_.add(lat);
-  if (obs::kTaskstatsEnabled) {
-    // Critical-path blame: decompose this request's latency into the serving
-    // worker's delay states. The wake window [wait_at, dequeued) and service
-    // window [dequeued, now) are continuous spans of the worker's life, so
-    // the snapshot-delta totals equal the window lengths exactly and the
-    // categories below sum to `lat` by integer arithmetic.
-    using S = obs::TaskDelayState;
-    const WorkerMark& m = marks_[static_cast<std::size_t>(worker)];
-    obs::TaskDelaySnapshot wake =
-        obs::TaskDelaySnapshot::delta(m.deq_snap, m.wait_snap);
-    const obs::TaskDelaySnapshot svc =
-        obs::TaskDelaySnapshot::delta(done_snap, m.deq_snap);
-    // Time the worker spent in the wake window before this request even
-    // arrived is not the request's delay: subtract it from the blocked
-    // states first (park, then sleep — the worker was blocked while idle),
-    // spilling into the rest only if blocked time cannot cover it.
-    SimDuration pre = req.arrival > m.wait_at ? req.arrival - m.wait_at : 0;
-    for (const S s : {S::kVbParked, S::kEpollBlocked, S::kSleeping,
-                      S::kFutexBlocked, S::kRunnable, S::kMigrating,
-                      S::kBwdSkipDelayed, S::kOncpu}) {
-      if (pre <= 0) break;
-      SimDuration& w = wake.t[static_cast<std::size_t>(s)];
-      const SimDuration take = w < pre ? w : pre;
-      w -= take;
-      pre -= take;
-    }
-    ++blame_.requests;
-    blame_.backlog += m.wait_at > req.arrival ? m.wait_at - req.arrival : 0;
-    blame_.wake_park += wake[S::kVbParked];
-    blame_.wake_sleep +=
-        wake[S::kEpollBlocked] + wake[S::kSleeping] + wake[S::kFutexBlocked];
-    blame_.rq_wait += wake[S::kRunnable] + wake[S::kMigrating] +
-                      svc[S::kRunnable] + svc[S::kMigrating];
-    blame_.skip_delay += wake[S::kBwdSkipDelayed] + svc[S::kBwdSkipDelayed];
-    blame_.service_cpu += svc[S::kOncpu];
-    // Wake-side on-CPU time (epoll-entry overhead before the block) plus any
-    // service-side blocked time (impossible for these workers, but counted
-    // rather than dropped so the sum stays exact).
-    blame_.other += wake[S::kOncpu] + svc[S::kVbParked] +
-                    svc[S::kEpollBlocked] + svc[S::kSleeping] +
-                    svc[S::kFutexBlocked];
+  // Critical-path blame: decompose this request's latency into the serving
+  // worker's delay states. The wake window [wait_at, dequeued) and service
+  // window [dequeued, now) are continuous spans of the worker's life, so
+  // the snapshot-delta totals equal the window lengths exactly and the
+  // categories below sum to `lat` by integer arithmetic.
+  using S = obs::TaskDelayState;
+  const WorkerMark& m = marks_[static_cast<std::size_t>(worker)];
+  obs::TaskDelaySnapshot wake =
+      obs::TaskDelaySnapshot::delta(m.deq_snap, m.wait_snap);
+  const obs::TaskDelaySnapshot svc =
+      obs::TaskDelaySnapshot::delta(done_snap, m.deq_snap);
+  // Time the worker spent in the wake window before this request even
+  // arrived is not the request's delay: subtract it from the blocked
+  // states first (park, then sleep — the worker was blocked while idle),
+  // spilling into the rest only if blocked time cannot cover it.
+  SimDuration pre = req.arrival > m.wait_at ? req.arrival - m.wait_at : 0;
+  for (const S s : {S::kVbParked, S::kEpollBlocked, S::kSleeping,
+                    S::kFutexBlocked, S::kRunnable, S::kMigrating,
+                    S::kBwdSkipDelayed, S::kOncpu}) {
+    if (pre <= 0) break;
+    SimDuration& w = wake.t[static_cast<std::size_t>(s)];
+    const SimDuration take = w < pre ? w : pre;
+    w -= take;
+    pre -= take;
   }
+  ++blame_.requests;
+  blame_.backlog += m.wait_at > req.arrival ? m.wait_at - req.arrival : 0;
+  blame_.wake_park += wake[S::kVbParked];
+  blame_.wake_sleep +=
+      wake[S::kEpollBlocked] + wake[S::kSleeping] + wake[S::kFutexBlocked];
+  blame_.rq_wait += wake[S::kRunnable] + wake[S::kMigrating] +
+                    svc[S::kRunnable] + svc[S::kMigrating];
+  blame_.skip_delay += wake[S::kBwdSkipDelayed] + svc[S::kBwdSkipDelayed];
+  blame_.service_cpu += svc[S::kOncpu];
+  // Wake-side on-CPU time (epoll-entry overhead before the block) plus any
+  // service-side blocked time (impossible for these workers, but counted
+  // rather than dropped so the sum stays exact).
+  blame_.other += wake[S::kOncpu] + svc[S::kVbParked] +
+                  svc[S::kEpollBlocked] + svc[S::kSleeping] +
+                  svc[S::kFutexBlocked];
   // Attribution: queueing is epoll-ready-queue wait, service is everything
   // after the worker picked the request up, and scheduling delay is the
   // service time's excess over the request's ideal CPU cost (preemptions,
   // runqueue waits mid-request). All histogram adds — alloc-free.
   queueing_.add(req.dequeued - req.arrival);
-  const SimDuration svc = now - req.dequeued;
-  service_.add(svc);
+  const SimDuration service = now - req.dequeued;
+  service_.add(service);
   SimDuration ideal = cfg_.parse_cost + cfg_.lookup_cost + copy_cost_;
   if ((req.conn_and_op & kOpSetBit) != 0) ideal += cfg_.set_extra_cost;
-  sched_delay_.add(svc > ideal ? svc - ideal : 0);
+  sched_delay_.add(service > ideal ? service - ideal : 0);
   Connection& conn = conns_[ci];
   ++conn.completed;
   --conn.inflight;

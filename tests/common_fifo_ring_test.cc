@@ -5,27 +5,10 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
 
-// --- allocation-counting harness (whole test binary) ---
-namespace {
-std::atomic<std::uint64_t> g_news{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "alloc_count.h"
 
 namespace eo {
 namespace {
@@ -61,12 +44,13 @@ TEST(FifoRing, GrowthRelinearizesAndKeepsOrder) {
 TEST(FifoRing, SteadyStateIsAllocationFree) {
   FifoRing<std::uint64_t> q;
   q.reserve(64);
-  const std::uint64_t before = g_news.load(std::memory_order_relaxed);
-  for (int round = 0; round < 1000; ++round) {
-    for (std::uint64_t i = 0; i < 64; ++i) q.push_back(i);
-    while (!q.empty()) q.pop_front();
-  }
-  EXPECT_EQ(g_news.load(std::memory_order_relaxed) - before, 0u);
+  const std::uint64_t n = allocs_during([&] {
+    for (int round = 0; round < 1000; ++round) {
+      for (std::uint64_t i = 0; i < 64; ++i) q.push_back(i);
+      while (!q.empty()) q.pop_front();
+    }
+  });
+  EXPECT_EQ(n, 0u);
 }
 
 TEST(FifoRing, PopAndClearDropPayloadReferences) {

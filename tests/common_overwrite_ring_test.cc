@@ -6,38 +6,13 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
-// --- allocation-counting harness (whole test binary) ---
-namespace {
-std::atomic<std::uint64_t> g_news{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "alloc_count.h"
 
 namespace eo {
 namespace {
-
-/// Allocations performed by `body`.
-template <typename Body>
-std::uint64_t allocs_during(Body&& body) {
-  const std::uint64_t before = g_news.load(std::memory_order_relaxed);
-  body();
-  return g_news.load(std::memory_order_relaxed) - before;
-}
 
 std::vector<std::uint64_t> ordered(const OverwriteRing<std::uint64_t>& r) {
   std::vector<std::uint64_t> out;

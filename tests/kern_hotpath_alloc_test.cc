@@ -6,15 +6,12 @@
 // embedded in Task, wake chains are pooled and spliced, engine callbacks are
 // inline EventFns, sampler frames go into preallocated ring storage, and
 // SimCall frames are recycled by FramePool — so the steady state is pointer
-// work only. Same
-// global-new harness as sim_event_fn_test.cc / traffic_fleet_test.cc.
+// work only. Allocations are counted by the shared harness in alloc_count.h.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 
+#include "alloc_count.h"
 #include "common/units.h"
 #include "kern/kernel.h"
 #include "metrics/experiment.h"
@@ -24,32 +21,8 @@
 #include "runtime/spin.h"
 #include "workloads/suite.h"
 
-// --- allocation-counting harness (whole test binary) ---
-namespace {
-std::atomic<std::uint64_t> g_news{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
 namespace eo::kern {
 namespace {
-
-/// Allocations performed by `body`.
-template <typename Body>
-std::uint64_t allocs_during(Body&& body) {
-  const std::uint64_t before = g_news.load(std::memory_order_relaxed);
-  body();
-  return g_news.load(std::memory_order_relaxed) - before;
-}
 
 TEST(KernHotPath, ContextSwitchesAllocationFreeWhenWarm) {
   KernelConfig c;
@@ -221,7 +194,7 @@ TEST(KernHotPath, LibraryCallsAllocationFreeWhenWarm) {
 // its own structures. Pinned at the observed count; a change that adds
 // allocations prints the new count.
 TEST(KernHotPath, Fig09KernelConstructionAllocations) {
-  constexpr std::uint64_t kPinned = 46;
+  constexpr std::uint64_t kPinned = 44;
   metrics::RunConfig rc;
   rc.cpus = 8;
   rc.sockets = 2;

@@ -369,7 +369,7 @@ std::uint64_t counter_value(const Kernel& k, const std::string& name) {
 }
 
 // Registration order is the export order. Each lock and policy counter pair
-// registers its second counter first, as every exported document lists
+// registers its subset before its total, as every exported document lists
 // them; the kernel sequences the two registrations, so no compiler's
 // argument-evaluation order can swap them.
 TEST(KernelSmoke, PairedCountersRegisterInExportOrder) {
@@ -390,12 +390,75 @@ TEST(KernelSmoke, PairedCountersRegisterInExportOrder) {
             expected);
 }
 
+// The VB and BWD counters are second names of kernel cells: every blocking
+// decision ends in exactly one park or sleep, a VB choice is a park, and
+// the detector runs once per BWD timer fire. A VB+BWD run that takes futex
+// sleeps, epoll sleeps, VB parks and detections exports them equal.
+TEST(KernelSmoke, VbAndBwdCountersEqualTheSchedStatsTheyAlias) {
+  KernelConfig c;
+  c.topo = hw::Topology::make_cores(2, 1);
+  c.features = core::Features::optimized();
+  Kernel k(c);
+  kern::SimWord* flag = k.alloc_word(0);
+  kern::SimWord* w = k.alloc_word(0);
+  const int ep = k.epoll_create();
+  // Spins until the setter releases it: pure spin windows for BWD.
+  runtime::spawn(k, "spinner", [flag](Env env) -> SimThread {
+    co_await env.spin_until_eq(flag, 1, 1);
+    co_return;
+  });
+  // Four futex waiters on two cores: the first sleeps (VB auto-disabled
+  // below the core count), the later ones park.
+  for (int i = 0; i < 4; ++i) {
+    runtime::spawn(k, "waiter", [w](Env env) -> SimThread {
+      co_await env.futex_wait(w, 0);
+      co_return;
+    });
+  }
+  // A lone epoll waiter sleeps.
+  runtime::spawn(k, "worker", [ep](Env env) -> SimThread {
+    co_await env.epoll_wait(ep);
+    co_return;
+  });
+  runtime::spawn(k, "setter", [flag, w, ep](Env env) -> SimThread {
+    co_await env.compute(20_ms);
+    co_await env.store(flag, 1);
+    co_await env.store(w, 1);
+    co_await env.futex_wake(w, 4);
+    co_await env.epoll_post(ep, 1);
+    co_return;
+  });
+  ASSERT_TRUE(k.run_to_exit(1_s));
+
+  const obs::MetricsDoc doc = k.snapshot_metrics();
+  const auto value = [&doc](const char* name) {
+    for (const auto& cv : doc.counters) {
+      if (cv.name == name) return cv.value;
+    }
+    ADD_FAILURE() << "no counter " << name;
+    return std::uint64_t{0};
+  };
+  const std::uint64_t parks = value("sched.vb_parks");
+  const std::uint64_t futex_sleeps = value("sched.futex_sleeps");
+  const std::uint64_t epoll_sleeps = value("sched.epoll_sleeps");
+  const std::uint64_t fires = value("sched.bwd_timer_fires");
+  const std::uint64_t detections = value("sched.bwd_detections");
+  EXPECT_GT(parks, 0u);
+  EXPECT_GT(futex_sleeps, 0u);
+  EXPECT_GT(epoll_sleeps, 0u);
+  EXPECT_GT(fires, 0u);
+  EXPECT_GT(detections, 0u);
+  EXPECT_EQ(value("vb.chose_vb"), parks);
+  EXPECT_EQ(value("vb.decisions"), parks + futex_sleeps + epoll_sleeps);
+  EXPECT_EQ(value("bwd.windows_evaluated"), fires);
+  EXPECT_EQ(value("bwd.windows_detected"), detections);
+}
+
 // A task alone on its core does not renew its slice in place: every expiry
 // goes back through the scheduler, which picks the same task again. The
 // re-pick is not a context switch (same task), so only the pick count moves,
 // once per 3 ms slice (CFS sched_latency with one runnable task).
 TEST(KernelSmoke, LoneComputeTaskIsRepickedAtEachSliceExpiry) {
-  if (!obs::kTaskstatsEnabled) GTEST_SKIP() << "metrics compiled out";
   Kernel k(one_core());
   runtime::spawn(k, "lone", [](Env env) -> SimThread {
     co_await env.compute(40_ms);

@@ -25,28 +25,6 @@ TEST(TablePrinter, AlignedOutput) {
   ASSERT_NE(h, std::string::npos);
 }
 
-TEST(TablePrinter, CsvOutput) {
-  std::ostringstream os;
-  TablePrinter t({"x", "y"}, os);
-  t.add_row({"1", "2"});
-  t.print_csv();
-  EXPECT_EQ(os.str(), "x,y\n1,2\n");
-}
-
-TEST(TablePrinter, CsvEscapesPerRfc4180) {
-  // Cells with a comma, quote, or newline get quoted (with embedded quotes
-  // doubled); plain cells stay unquoted.
-  std::ostringstream os;
-  TablePrinter t({"name", "note"}, os);
-  t.add_row({"a,b", "plain"});
-  t.add_row({"say \"hi\"", "line1\nline2"});
-  t.print_csv();
-  EXPECT_EQ(os.str(),
-            "name,note\n"
-            "\"a,b\",plain\n"
-            "\"say \"\"hi\"\"\",\"line1\nline2\"\n");
-}
-
 TEST(TablePrinter, NumberFormatting) {
   EXPECT_EQ(TablePrinter::num(3.14159, 2), "3.14");
   EXPECT_EQ(TablePrinter::num(2.0, 0), "2");

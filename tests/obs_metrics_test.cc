@@ -1,4 +1,4 @@
-// MetricRegistry, Counter handles, and the Sampler ring (src/obs).
+// MetricRegistry and the Sampler ring (src/obs).
 #include <gtest/gtest.h>
 
 #include "common/histogram.h"
@@ -9,33 +9,12 @@
 namespace eo::obs {
 namespace {
 
-TEST(MetricRegistry, CounterHandleIncrementsCell) {
-  MetricRegistry reg;
-  const Counter c = reg.counter("test.hits");
-  c.inc();
-  c.inc(41);
-  const auto snap = reg.snapshot_counters();
-  ASSERT_EQ(snap.size(), 1u);
-  EXPECT_EQ(snap[0].name, "test.hits");
-#if defined(EO_METRICS_ENABLED) && EO_METRICS_ENABLED
-  EXPECT_EQ(snap[0].value, 42u);
-#else
-  EXPECT_EQ(snap[0].value, 0u);
-#endif
-}
-
-TEST(MetricRegistry, DefaultCounterIsSafeSink) {
-  // A module whose set_metrics was never called still increments something
-  // valid; the increments just land in the thread-local sink.
-  Counter c;
-  for (int i = 0; i < 1000; ++i) c.inc();
-}
-
 TEST(MetricRegistry, SnapshotPreservesRegistrationOrder) {
   MetricRegistry reg;
-  reg.counter("b.second");
-  reg.counter("a.first");
-  reg.counter("c.third");
+  const std::uint64_t cells[3] = {};
+  reg.register_counter("b.second", &cells[0]);
+  reg.register_counter("a.first", &cells[1]);
+  reg.register_counter("c.third", &cells[2]);
   const auto snap = reg.snapshot_counters();
   ASSERT_EQ(snap.size(), 3u);
   EXPECT_EQ(snap[0].name, "b.second");
@@ -66,7 +45,7 @@ TEST(MetricRegistry, HistogramRefAndHas) {
   Histogram h;
   h.add(100);
   reg.register_histogram("h.lat", &h);
-  ASSERT_EQ(reg.n_histograms(), 1u);
+  ASSERT_EQ(reg.histograms().size(), 1u);
   EXPECT_EQ(reg.histograms()[0].hist->total_count(), 1u);
   EXPECT_TRUE(reg.has("h.lat"));
   EXPECT_FALSE(reg.has("h.other"));

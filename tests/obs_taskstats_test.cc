@@ -7,7 +7,7 @@
 //    rq wait, futex/epoll blocking, timed sleep, VB parking, BWD skip delay,
 //    post-migration wait);
 //  * hot-path cost — a warm kernel accounts without touching the heap
-//    (same global-new harness as kern_hotpath_alloc_test.cc);
+//    (the shared allocation-counting harness in alloc_count.h);
 //  * export — the `eo-taskstats` JSON section validates, and the validator
 //    rejects every corruption of it (missing fields, wrong types, broken
 //    conservation); the folded flamegraph export sanitizes hostile frames.
@@ -15,14 +15,12 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "alloc_count.h"
 #include "common/json.h"
 #include "common/units.h"
 #include "kern/kernel.h"
@@ -30,32 +28,8 @@
 #include "runtime/sim_thread.h"
 #include "workloads/suite.h"
 
-// --- allocation-counting harness (whole test binary) ---
-namespace {
-std::atomic<std::uint64_t> g_news{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
 namespace eo::obs {
 namespace {
-
-/// Allocations performed by `body`.
-template <typename Body>
-std::uint64_t allocs_during(Body&& body) {
-  const std::uint64_t before = g_news.load(std::memory_order_relaxed);
-  body();
-  return g_news.load(std::memory_order_relaxed) - before;
-}
 
 SimDuration state_time(const TaskstatsRecord& r, TaskDelayState s) {
   return r.times[s];
@@ -83,7 +57,6 @@ const TaskstatsRecord* find_task(const TaskstatsDoc& doc,
 // --- TaskDelayAcct arithmetic ---------------------------------------------
 
 TEST(TaskDelayAcct, ChargesEveryIntervalToExactlyOneState) {
-  if (!kTaskstatsEnabled) GTEST_SKIP() << "metrics compiled out";
   TaskDelayAcct a;
   a.start(100, TaskDelayState::kRunnable);
   a.transition(150, TaskDelayState::kOncpu);      // 50ns runnable
@@ -103,7 +76,6 @@ TEST(TaskDelayAcct, ChargesEveryIntervalToExactlyOneState) {
 }
 
 TEST(TaskDelayAcct, LiveSnapshotChargesOpenIntervalToCurrentState) {
-  if (!kTaskstatsEnabled) GTEST_SKIP() << "metrics compiled out";
   TaskDelayAcct a;
   a.start(0, TaskDelayState::kRunnable);
   a.transition(10, TaskDelayState::kOncpu);
@@ -119,7 +91,6 @@ TEST(TaskDelayAcct, LiveSnapshotChargesOpenIntervalToCurrentState) {
 }
 
 TEST(TaskDelayAcct, IgnoresUseBeforeStartAndAfterFinish) {
-  if (!kTaskstatsEnabled) GTEST_SKIP() << "metrics compiled out";
   TaskDelayAcct a;
   a.transition(50, TaskDelayState::kOncpu);  // before start: no-op
   EXPECT_FALSE(a.started());
@@ -135,7 +106,6 @@ TEST(TaskDelayAcct, IgnoresUseBeforeStartAndAfterFinish) {
 }
 
 TEST(TaskDelaySnapshot, DeltaIsComponentWise) {
-  if (!kTaskstatsEnabled) GTEST_SKIP() << "metrics compiled out";
   TaskDelayAcct a;
   a.start(0, TaskDelayState::kOncpu);
   const TaskDelaySnapshot early = a.snapshot(40);
@@ -150,7 +120,6 @@ TEST(TaskDelaySnapshot, DeltaIsComponentWise) {
 // --- kernel-run conservation and state coverage ---------------------------
 
 TEST(TaskstatsKernel, ComputeYieldRunConservesAndLandsCpuStates) {
-  if (!kTaskstatsEnabled) GTEST_SKIP() << "metrics compiled out";
   kern::KernelConfig c;
   c.topo = hw::Topology::make_cores(1, 1);
   kern::Kernel k(c);
@@ -218,7 +187,6 @@ void spawn_pingpong(kern::Kernel& k, const char* waiter_name,
 }
 
 TEST(TaskstatsKernel, BlockingStatesLandWhereTheyBelong) {
-  if (!kTaskstatsEnabled) GTEST_SKIP() << "metrics compiled out";
   kern::KernelConfig c;
   c.topo = hw::Topology::make_cores(2, 1);
   kern::Kernel k(c);  // vanilla features: waits really sleep
@@ -266,7 +234,6 @@ TEST(TaskstatsKernel, BlockingStatesLandWhereTheyBelong) {
 }
 
 TEST(TaskstatsKernel, VbParkingIsAccountedAsVbParkedNotBlocked) {
-  if (!kTaskstatsEnabled) GTEST_SKIP() << "metrics compiled out";
   kern::KernelConfig c;
   c.topo = hw::Topology::make_cores(1, 1);
   c.features.vb_futex = true;
@@ -302,7 +269,6 @@ void expect_state_reached(const kern::Kernel& k,
 }
 
 TEST(TaskstatsKernel, BwdDetectionIsAccountedAsBwdSkipDelayed) {
-  if (!kTaskstatsEnabled) GTEST_SKIP() << "metrics compiled out";
   kern::KernelConfig c;
   c.topo = hw::Topology::make_cores(2, 1);
   c.features.bwd = true;
@@ -329,7 +295,6 @@ TEST(TaskstatsKernel, BwdDetectionIsAccountedAsBwdSkipDelayed) {
 }
 
 TEST(TaskstatsKernel, BalancePullsAndOffliningAreAccountedAsMigrating) {
-  if (!kTaskstatsEnabled) GTEST_SKIP() << "metrics compiled out";
   kern::KernelConfig c;
   c.topo = hw::Topology::make_cores(2, 1);
   c.metrics.enabled = true;
@@ -363,7 +328,6 @@ TEST(TaskstatsKernel, BalancePullsAndOffliningAreAccountedAsMigrating) {
 }
 
 TEST(TaskstatsKernel, ExperimentRunExportsConservedDocWatchdogClean) {
-  if (!kTaskstatsEnabled) GTEST_SKIP() << "metrics compiled out";
   const auto& spec = workloads::find_benchmark("cg");
   metrics::RunConfig rc;
   rc.cpus = 4;
@@ -389,7 +353,6 @@ TEST(TaskstatsKernel, ExperimentRunExportsConservedDocWatchdogClean) {
 }
 
 TEST(TaskstatsKernel, WarmAccountingIsAllocationFree) {
-  if (!kTaskstatsEnabled) GTEST_SKIP() << "metrics compiled out";
   kern::KernelConfig c;
   c.topo = hw::Topology::make_cores(2, 1);
   kern::Kernel k(c);
@@ -473,7 +436,6 @@ TEST(TaskstatsJson, RenderedDocumentValidates) {
 }
 
 TEST(TaskstatsJson, RenderedKernelSnapshotValidates) {
-  if (!kTaskstatsEnabled) GTEST_SKIP() << "metrics compiled out";
   kern::KernelConfig c;
   c.topo = hw::Topology::make_cores(2, 1);
   kern::Kernel k(c);

@@ -4,6 +4,7 @@
 #include "metrics/experiment.h"
 #include "obs/sampler.h"
 #include "obs/watchdog.h"
+#include "sched/sched_stats.h"
 #include "workloads/suite.h"
 
 namespace eo::obs {
@@ -107,14 +108,20 @@ TEST(Watchdog, VbParkPairingFires) {
 }
 
 TEST(Watchdog, CorruptedCounterRegressionFires) {
-  InvariantWatchdog wd;
+  // The kernel's SchedStats fields are registered cells; the registry loop
+  // is what checks them.
+  sched::SchedStats stats;
+  stats.context_switches = 10;
+  MetricRegistry reg;
+  stats.register_metrics(&reg);
+  InvariantWatchdog wd(&reg);
   Frame f;
   EXPECT_EQ(wd.check(0, f.cores, 2, f.g), 0);
-  f.g.context_switches -= 1;  // monotonic counter regresses
+  stats.context_switches -= 1;  // monotonic counter regresses
   EXPECT_GT(wd.check(100, f.cores, 2, f.g), 0);
   ASSERT_FALSE(wd.records().empty());
   EXPECT_EQ(wd.records()[0].invariant, "counter_monotonic");
-  EXPECT_NE(wd.records()[0].detail.find("context_switches"),
+  EXPECT_NE(wd.records()[0].detail.find("sched.context_switches"),
             std::string::npos);
 }
 

@@ -86,7 +86,6 @@ TEST(Determinism, MemcachedRunsReproduce) {
   EXPECT_DOUBLE_EQ(a.second, b.second);
 }
 
-#if defined(EO_TRACE_ENABLED)
 // The tracing property from src/trace/trace.h: a trace is a pure function of
 // the simulation, so identical seeds export byte-identical files.
 TEST(Determinism, IdenticalSeedByteIdenticalTrace) {
@@ -114,7 +113,6 @@ TEST(Determinism, IdenticalSeedByteIdenticalTrace) {
   EXPECT_EQ(a.first, b.first);
   EXPECT_EQ(a.second, b.second);
 }
-#endif  // EO_TRACE_ENABLED
 
 // The sweep-runner property behind `--json`: a full bench document is a pure
 // function of (sweep, seed), so two same-seed runs render byte-identical JSON

@@ -10,9 +10,12 @@ namespace {
 
 class BalancerTest : public ::testing::Test {
  protected:
-  BalancerTest() : topo_(hw::Topology::make_cores(4, 2)), lb_(&topo_, &params_) {
+  BalancerTest()
+      : topo_(hw::Topology::make_cores(4, 2)),
+        lb_(&topo_, &params_, &counters_) {
     for (int i = 0; i < 4; ++i) {
-      rqs_owned_.push_back(std::make_unique<Runqueue>(i, &params_));
+      rqs_owned_.push_back(
+          std::make_unique<Runqueue>(i, &params_, &counters_));
       rqs_.push_back(rqs_owned_.back().get());
     }
   }
@@ -27,6 +30,7 @@ class BalancerTest : public ::testing::Test {
   static bool always_online(int) { return true; }
 
   CfsParams params_;
+  SchedCounters counters_;
   hw::Topology topo_;
   LoadBalancer lb_;
   std::vector<std::unique_ptr<Runqueue>> rqs_owned_;
@@ -48,6 +52,16 @@ TEST_F(BalancerTest, PullsFromBusiest) {
   EXPECT_EQ(d->src_cpu, 1);
   EXPECT_EQ(d->dst_cpu, 0);
   EXPECT_FALSE(d->cross_socket);  // cores 0,1 share socket 0
+}
+
+TEST_F(BalancerTest, CountsEveryAttemptAndEachDecidedPull) {
+  for (int c = 0; c < 4; ++c) add(c);
+  EXPECT_FALSE(lb_.find_pull(0, rqs_, always_online, false).has_value());
+  add(1);
+  add(1);
+  EXPECT_TRUE(lb_.find_pull(0, rqs_, always_online, false).has_value());
+  EXPECT_EQ(counters_.balance_attempts, 2u);
+  EXPECT_EQ(counters_.balance_pulls, 1u);
 }
 
 TEST_F(BalancerTest, PrefersSameSocket) {

@@ -291,13 +291,21 @@ TEST_P(PolicyContractTest, ExportTunablesUnderPolicyPrefix) {
   const Discipline* d = find_discipline(GetParam());
   ASSERT_NE(d, nullptr) << "no kDisciplines row for " << GetParam();
   obs::MetricRegistry reg;
-  policy_->export_tunables(&reg);
+  policy_->register_metrics(&reg);
   const std::string prefix = "sched." + GetParam() + ".";
   std::vector<std::string> want;
   for (const std::string& g : d->gauges) want.push_back(prefix + g);
   std::vector<std::string> got;
   for (const auto& g : reg.snapshot_gauges()) got.push_back(g.name);
   EXPECT_EQ(got, want);
+  // The queue and balancer counters come first, under the same names for
+  // every discipline.
+  const std::vector<std::string> want_counters = {
+      "sched.rq.enqueues", "sched.rq.dequeues", "sched.rq.picks",
+      "sched.balance.attempts", "sched.balance.pulls"};
+  std::vector<std::string> got_counters;
+  for (const auto& c : reg.snapshot_counters()) got_counters.push_back(c.name);
+  EXPECT_EQ(got_counters, want_counters);
 }
 
 // Each name selects its own discipline: slice length, wakeup preemption,
@@ -385,7 +393,6 @@ TEST_P(PolicyContractTest, OversubscribedRunDeterministicAndWatchdogClean) {
 // times must sum to its kernel-ground-truth lifetime, and the sampler's
 // watchdog must stay violation-free.
 TEST_P(PolicyContractTest, TaskstatsConserved) {
-  if (!obs::kTaskstatsEnabled) GTEST_SKIP() << "metrics compiled out";
   const auto& spec = workloads::find_benchmark("cg");
   metrics::RunConfig rc;
   rc.cpus = 4;

@@ -11,7 +11,8 @@ namespace {
 class RunqueueTest : public ::testing::Test {
  protected:
   CfsParams params;
-  Runqueue rq{0, &params};
+  SchedCounters counters;
+  Runqueue rq{0, &params, &counters};
 
   SchedEntity* make(std::int64_t vruntime) {
     entities_.push_back(std::make_unique<SchedEntity>());
@@ -33,6 +34,18 @@ TEST_F(RunqueueTest, PickLowestVruntime) {
   EXPECT_EQ(rq.pick_next(), b);
   rq.put_prev(b);
   EXPECT_TRUE(rq.tree_valid());
+}
+
+TEST_F(RunqueueTest, CountsEnqueuesDequeuesAndPicks) {
+  auto* a = make(100);
+  auto* b = make(50);
+  rq.enqueue(a, false);
+  rq.enqueue(b, false);
+  ASSERT_EQ(rq.pick_next(), b);
+  rq.dequeue(a);
+  EXPECT_EQ(counters.rq_enqueues, 2u);
+  EXPECT_EQ(counters.rq_dequeues, 1u);
+  EXPECT_EQ(counters.rq_picks, 1u);
 }
 
 TEST_F(RunqueueTest, SliceShrinksWithLoadDownToMinimum) {
@@ -247,6 +260,7 @@ class TunedRunqueueTest : public ::testing::Test {
   }
 
   CfsParams params;
+  SchedCounters counters;
   std::vector<std::unique_ptr<SchedEntity>> entities_;
 };
 
@@ -254,7 +268,7 @@ TEST_F(TunedRunqueueTest, ArrivalKeysPickInArrivalOrder) {
   QueueTuning t;
   t.arrival_keys = true;
   t.wakeup_preempt = false;
-  Runqueue rq{0, &params, &t};
+  Runqueue rq{0, &params, &counters, &t};
   auto* a = make(300);  // vruntime is ignored as the sort key
   auto* b = make(200);
   auto* c = make(100);
@@ -273,7 +287,7 @@ TEST_F(TunedRunqueueTest, RequeueTailRotatesRoundRobin) {
   t.arrival_keys = true;
   t.requeue_tail = true;
   t.wakeup_preempt = false;
-  Runqueue rq{0, &params, &t};
+  Runqueue rq{0, &params, &counters, &t};
   auto* a = make(0);
   auto* b = make(0);
   auto* c = make(0);
@@ -291,7 +305,7 @@ TEST_F(TunedRunqueueTest, FixedQuantumOverridesSliceAndBlocksPreempt) {
   t.arrival_keys = true;
   t.wakeup_preempt = false;
   t.fixed_quantum = 5_ms;
-  Runqueue rq{0, &params, &t};
+  Runqueue rq{0, &params, &counters, &t};
   auto* a = make(0);
   rq.enqueue(a, false);
   for (int i = 0; i < 3; ++i) rq.enqueue(make(0), false);
@@ -305,7 +319,7 @@ TEST_F(TunedRunqueueTest, ArrivalKeysKeepVbContract) {
   QueueTuning t;
   t.arrival_keys = true;
   t.wakeup_preempt = false;
-  Runqueue rq{0, &params, &t};
+  Runqueue rq{0, &params, &counters, &t};
   auto* a = make(0);
   auto* b = make(0);
   rq.enqueue(a, false);
@@ -325,7 +339,7 @@ TEST_F(TunedRunqueueTest, BwdSkipRoundHoldsUnderArrivalKeys) {
   QueueTuning t;
   t.arrival_keys = true;
   t.wakeup_preempt = false;
-  Runqueue rq{0, &params, &t};
+  Runqueue rq{0, &params, &counters, &t};
   auto* a = make(0);
   auto* b = make(0);
   auto* c = make(0);
@@ -363,7 +377,7 @@ class PreferBias : public PickBias {
 }  // namespace
 
 TEST_F(TunedRunqueueTest, PickBiasOverridesFairChoice) {
-  Runqueue rq{0, &params};
+  Runqueue rq{0, &params, &counters};
   auto* a = make(10);
   auto* b = make(20);
   rq.enqueue(a, false);
@@ -378,7 +392,7 @@ TEST_F(TunedRunqueueTest, PickBiasOverridesFairChoice) {
 }
 
 TEST_F(TunedRunqueueTest, PickBiasNotConsultedForSkipExpiry) {
-  Runqueue rq{0, &params};
+  Runqueue rq{0, &params, &counters};
   auto* a = make(10);
   auto* b = make(20);
   rq.enqueue(a, false);

@@ -1,47 +1,21 @@
 // EventFn unit tests: the inline-vs-overflow capture-size contract, move
-// semantics, and — via a global allocation-counting harness — the engine's
-// guarantee that schedule/cancel/fire perform no heap allocation for
-// callbacks within inline capacity once the slab and heap are warm.
+// semantics, and — via the allocation-counting harness (alloc_count.h) — the
+// engine's guarantee that schedule/cancel/fire perform no heap allocation
+// for callbacks within inline capacity once the slab and heap are warm.
 #include "sim/event_fn.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <set>
 #include <utility>
 
+#include "alloc_count.h"
 #include "sim/engine.h"
-
-// --- allocation-counting harness (whole test binary) ---
-namespace {
-std::atomic<std::uint64_t> g_news{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace eo::sim {
 namespace {
-
-/// Allocations performed by `body`.
-template <typename Body>
-std::uint64_t allocs_during(Body&& body) {
-  const std::uint64_t before = g_news.load(std::memory_order_relaxed);
-  body();
-  return g_news.load(std::memory_order_relaxed) - before;
-}
 
 TEST(EventFn, InlineCapacityIsThreeWords) {
   EXPECT_EQ(EventFn::kInlineSize, 3 * sizeof(void*));

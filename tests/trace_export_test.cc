@@ -1,8 +1,6 @@
 // Exporter tests: the Chrome JSON emitted for a real kernel run passes the
 // structural validator, CSV row counts match the event stream, and equal
-// seeds render byte-identical files. Kernel-driven cases skip themselves in
-// EO_TRACE=OFF builds (the instrumentation compiles away, so runs emit no
-// events); the validator unit tests always run.
+// seeds render byte-identical files.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -34,17 +32,15 @@ RunResult traced_run(std::uint64_t seed) {
   });
 }
 
-#define SKIP_IF_UNTRACED(r)                                              \
-  do {                                                                   \
-    ASSERT_TRUE((r).trace != nullptr);                                   \
-    if ((r).trace->events.empty()) {                                     \
-      GTEST_SKIP() << "EO_TRACE=OFF build: no instrumentation compiled"; \
-    }                                                                    \
+#define ASSERT_TRACED(r)                     \
+  do {                                       \
+    ASSERT_TRUE((r).trace != nullptr);       \
+    ASSERT_FALSE((r).trace->events.empty()); \
   } while (0)
 
 TEST(TraceExport, KernelRunProducesValidChromeJson) {
   const auto r = traced_run(7);
-  SKIP_IF_UNTRACED(r);
+  ASSERT_TRACED(r);
   EXPECT_EQ(r.trace->dropped, 0u);
   const std::string json = trace::render(*r.trace, "json");
   std::string err;
@@ -53,7 +49,7 @@ TEST(TraceExport, KernelRunProducesValidChromeJson) {
 
 TEST(TraceExport, CsvHasOneRowPerEventPlusHeader) {
   const auto r = traced_run(7);
-  SKIP_IF_UNTRACED(r);
+  ASSERT_TRACED(r);
   const std::string csv = trace::render(*r.trace, "csv");
   std::istringstream is(csv);
   std::string line;
@@ -67,7 +63,7 @@ TEST(TraceExport, CsvHasOneRowPerEventPlusHeader) {
 TEST(TraceExport, IdenticalSeedsRenderByteIdentical) {
   const auto a = traced_run(9);
   const auto b = traced_run(9);
-  SKIP_IF_UNTRACED(a);
+  ASSERT_TRACED(a);
   ASSERT_TRUE(b.trace != nullptr);
   EXPECT_EQ(trace::render(*a.trace, "json"), trace::render(*b.trace, "json"));
   EXPECT_EQ(trace::render(*a.trace, "csv"), trace::render(*b.trace, "csv"));

@@ -1,6 +1,6 @@
 // Unit tests for the tracing core: ring wraparound/drop accounting, the
 // disabled-tracer fast path, and deterministic snapshot merging. These drive
-// Tracer::emit directly, so they hold in EO_TRACE=OFF builds too.
+// Tracer::emit directly.
 #include <gtest/gtest.h>
 
 #include "sim/engine.h"

@@ -1,8 +1,7 @@
 // TimelineAnalyzer cross-checks: replaying a kernel run's trace must
 // re-derive the kernel's own live counters — context switches, wakeups, VB
 // parks and flag-check quanta, BWD deschedules — and reproduce the
-// wakeup-latency histogram the kernel recorded. Skips in EO_TRACE=OFF
-// builds, where runs emit no events.
+// wakeup-latency histogram the kernel recorded.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -33,17 +32,15 @@ RunResult traced_run(const char* bench, core::Features f) {
   });
 }
 
-#define SKIP_IF_UNTRACED(r)                                              \
-  do {                                                                   \
-    ASSERT_TRUE((r).trace != nullptr);                                   \
-    if ((r).trace->events.empty()) {                                     \
-      GTEST_SKIP() << "EO_TRACE=OFF build: no instrumentation compiled"; \
-    }                                                                    \
+#define ASSERT_TRACED(r)                     \
+  do {                                       \
+    ASSERT_TRUE((r).trace != nullptr);       \
+    ASSERT_FALSE((r).trace->events.empty()); \
   } while (0)
 
 TEST(TraceTimeline, ReplayMatchesSchedStats) {
   const auto r = traced_run("cg", core::Features::optimized());
-  SKIP_IF_UNTRACED(r);
+  ASSERT_TRACED(r);
   ASSERT_EQ(r.trace->dropped, 0u);
   const auto tl = trace::TimelineAnalyzer::analyze(*r.trace);
   EXPECT_EQ(tl.events, r.trace->events.size());
@@ -62,7 +59,7 @@ TEST(TraceTimeline, ReplayMatchesSchedStats) {
 
 TEST(TraceTimeline, WakeupLatencyReproducesKernelHistogram) {
   const auto r = traced_run("cg", core::Features::optimized());
-  SKIP_IF_UNTRACED(r);
+  ASSERT_TRACED(r);
   ASSERT_EQ(r.trace->dropped, 0u);
   const auto tl = trace::TimelineAnalyzer::analyze(*r.trace);
   ASSERT_GT(r.wakeup_latency.total_count(), 0u);
@@ -77,7 +74,7 @@ TEST(TraceTimeline, WakeupLatencyReproducesKernelHistogram) {
 
 TEST(TraceTimeline, RqDepthTimelineIsConsistent) {
   const auto r = traced_run("cg", core::Features::vanilla());
-  SKIP_IF_UNTRACED(r);
+  ASSERT_TRACED(r);
   const auto tl = trace::TimelineAnalyzer::analyze(*r.trace);
   ASSERT_EQ(tl.rq_depth.size(), static_cast<std::size_t>(r.trace->n_cores));
   bool any = false;
@@ -95,7 +92,7 @@ TEST(TraceTimeline, RqDepthTimelineIsConsistent) {
 
 TEST(TraceTimeline, VanillaRunHasNoVbOrBwdRecords) {
   const auto r = traced_run("cg", core::Features::vanilla());
-  SKIP_IF_UNTRACED(r);
+  ASSERT_TRACED(r);
   const auto tl = trace::TimelineAnalyzer::analyze(*r.trace);
   EXPECT_EQ(tl.vb_parks, 0u);
   EXPECT_EQ(tl.vb_skip_quanta, 0u);

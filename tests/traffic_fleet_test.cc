@@ -1,49 +1,22 @@
 // ServeHost / ConnectionFleet tests. The load-bearing one is the
-// allocation-counting check (same global-new harness as
-// sim_event_fn_test.cc): once a host is warm, the entire request path —
-// arrival draw, slot-slab claim, epoll post, worker wake, service computes,
-// latency record, slot free — must not touch the heap. That property is what
-// lets the fleet scale to a million connections without the allocator on the
-// critical path.
+// allocation-counting check (the shared harness in alloc_count.h): once a
+// host is warm, the entire request path — arrival draw, slot-slab claim,
+// epoll post, worker wake, service computes, latency record, slot free —
+// must not touch the heap. That property is what lets the fleet scale to a
+// million connections without the allocator on the critical path.
 #include "traffic/fleet.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
+#include "alloc_count.h"
 #include "traffic/slo.h"
-
-// --- allocation-counting harness (whole test binary) ---
-namespace {
-std::atomic<std::uint64_t> g_news{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace eo::traffic {
 namespace {
-
-/// Allocations performed by `body`.
-template <typename Body>
-std::uint64_t allocs_during(Body&& body) {
-  const std::uint64_t before = g_news.load(std::memory_order_relaxed);
-  body();
-  return g_news.load(std::memory_order_relaxed) - before;
-}
 
 ServeHostConfig small_host() {
   ServeHostConfig hc;
